@@ -169,7 +169,6 @@ let metadata_bytes t =
 let hooks t =
   let null = Hooks.null ~name:"tsan" in
   { null with
-    Hooks.pure_access = false;
     on_read = (fun ~tid ~addr -> on_access t ~tid ~addr `Read);
     on_write = (fun ~tid ~addr -> on_access t ~tid ~addr `Write);
     on_read_block = (fun ~tid ~block -> on_block t ~tid block `Read);

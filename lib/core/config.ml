@@ -44,3 +44,23 @@ let pp fmt t =
     t.data_keys t.proactive_acquisition t.protection_interleaving t.timestamp_pruning
     t.redundancy_pruning t.metadata_pruning t.prefer_recycle t.share_disjoint_sections
     t.software_fallback t.vkeys t.sampling
+
+let max_vkeys = 1 lsl 20
+let max_exit_delay_cycles = 1 lsl 40
+
+(* The one statement of every field's range; whatever builds a config
+   from outside input (CLI flags, replay-log headers) checks it here
+   rather than letting a constructor deep inside a run raise. *)
+let validate t =
+  let fail fmt = Printf.ksprintf (fun msg -> Error msg) fmt in
+  if t.data_keys < 1 || t.data_keys > Kard_mpk.Pkey.data_key_count then
+    fail "data keys must be within [1, %d] (got %d)" Kard_mpk.Pkey.data_key_count t.data_keys
+  else if t.vkeys < 0 || t.vkeys > max_vkeys then
+    fail "vkeys must be within [0, %d] (got %d)" max_vkeys t.vkeys
+  else if not (t.sampling > 0.0 && t.sampling <= 1.0) then
+    fail "sampling rate must be in (0, 1] (got %g)" t.sampling
+  else if t.sampling_epoch < 0 then fail "sampling epoch must be >= 0 (got %d)" t.sampling_epoch
+  else if t.exit_delay_cycles < 0 || t.exit_delay_cycles > max_exit_delay_cycles then
+    fail "exit delay must be within [0, %d] cycles (got %d)" max_exit_delay_cycles
+      t.exit_delay_cycles
+  else Ok ()

@@ -79,7 +79,7 @@ type t = {
           hash is salted with the epoch number) so long runs
           eventually cover every object.  The boundary is observed at
           section entry against the machine's virtual clock, which is
-          identical at any [--jobs]/[--shards] count — rotation never
+          identical at any [--jobs] count — rotation never
           breaks determinism.  [0] disables rotation (a fixed sampled
           set for the whole run). *)
   sampling_seed : int;
@@ -89,3 +89,17 @@ type t = {
 
 val default : t
 val pp : Format.formatter -> t -> unit
+
+val max_vkeys : int
+(** Largest accepted virtual-key pool: [2^20]. *)
+
+val max_exit_delay_cycles : int
+(** Largest accepted [exit_delay_cycles]: [2^40]. *)
+
+val validate : t -> (unit, string) result
+(** [Ok ()] iff every field is in range: [data_keys] in
+    [[1, 13]], [vkeys] in [[0, max_vkeys]], [sampling] in (0, 1],
+    [sampling_epoch >= 0] and [exit_delay_cycles] in
+    [[0, max_exit_delay_cycles]].  [Error] names the first bad field.
+    Every entry point that builds a config from outside input (CLI
+    flags, replay-log headers) checks it here. *)

@@ -133,7 +133,7 @@ type t = {
      every object ever unsampled (rotation iterates it to re-arm),
      deduplicated by [skip_ever].  [cur_epoch] only advances at
      section entry, so every sampling decision is a pure function of
-     state that is identical at any --jobs/--shards count. *)
+     state that is identical at any --jobs count. *)
   sampling : Sampling.t;
   mutable cur_epoch : int;
   unsampled : Dense.Bitset.t;
@@ -1369,11 +1369,8 @@ let metadata_bytes t =
 
 (* Observability of the fast path: when sampling is active, count the
    accesses that land on unsampled objects.  The count charges zero
-   cycles — the simulated fast path really is free — but the hooks
-   stop being pure no-ops, so [pure_access] must say so (the sharded
-   burst engine then falls back to the direct engine, which is
-   byte-identical).  At rate 1.0 the hooks stay the pure zeros and
-   nothing changes. *)
+   cycles — the simulated fast path really is free.  At rate 1.0 the
+   hooks stay the pure zeros and nothing changes. *)
 let count_skipped t addr =
   (match Meta_table.find_vpage t.env.Hooks.meta (Page.vpage_of_addr addr) with
   | Some (meta : Obj_meta.t) when Dense.Bitset.mem t.unsampled meta.Obj_meta.id ->
@@ -1393,7 +1390,6 @@ let count_skipped_block t (block : Kard_sched.Op.block) =
 let hooks t =
   let counting = Sampling.enabled t.sampling in
   { Hooks.name = "kard";
-    pure_access = not counting;
     on_pick = (fun ~tid:_ -> ());
     on_spawn = (fun ~tid -> on_spawn t ~tid);
     on_global = (fun meta -> on_alloc t ~tid:(-1) meta);

@@ -17,7 +17,6 @@ type cls =
   | Lockset_init_miss
   | Vkey_eviction_blame
   | Sampling_missed_race
-  | Shard_divergence
   | Replay_divergence
   | Unexpected
 
@@ -41,7 +40,6 @@ let all =
     Lockset_init_miss;
     Vkey_eviction_blame;
     Sampling_missed_race;
-    Shard_divergence;
     Replay_divergence;
     Unexpected;
   ]
@@ -65,7 +63,6 @@ let name = function
   | Lockset_init_miss -> "lockset-init-miss"
   | Vkey_eviction_blame -> "vkey-eviction-blame"
   | Sampling_missed_race -> "sampling-missed-race"
-  | Shard_divergence -> "shard-divergence"
   | Replay_divergence -> "replay-divergence"
   | Unexpected -> "unexpected"
 
@@ -134,10 +131,6 @@ let describe = function
       "Kard under-reports by design: the sampling policy left the object (or \
        the racing section) unprotected this epoch, so the conflicting access \
        never faulted — the HardRace trade: detection latency, never soundness"
-  | Shard_divergence ->
-      "the sharded machine diverged: a run at shards>1 produced a different \
-       report or race-record list than the same run at shards=1, breaching \
-       the burst engine's determinism contract (DESIGN.md section 10): real bug"
   | Replay_divergence ->
       "record/replay broke: re-executing the run from its nondeterminism log \
        produced a different report or race-record list, the log failed its \
@@ -146,7 +139,7 @@ let describe = function
   | Unexpected -> "no documented mechanism explains the disagreement: real bug"
 
 let expected = function
-  | Shard_divergence | Replay_divergence | Unexpected -> false
+  | Replay_divergence | Unexpected -> false
   | _ -> true
 
 let index c =

@@ -2,56 +2,51 @@ module D = Kard_core.Divergence
 module Config = Kard_core.Config
 module Pool = Kard_harness.Pool
 
-(* (name, detector config, machine shard count, generator pressure,
-   replay gate).  The sharded entries make the burst engine a
-   standing fuzz subject: every program they draw also runs the
-   dual-machine shard gate (Harness.run ?shards), so a determinism
-   breach surfaces as the never-expected shard-divergence class and
-   fails the campaign.  The vkey rotation entries pair a virtual pool
-   with the high-pressure generator profile (every program past the
-   13 physical keys, half far past), keeping the cache's
-   load/evict/stall windows — and their one expected evidence class,
-   vkey-eviction-blame — under the three oracles; the sharded one
-   additionally gates vkey eviction against burst-engine
-   determinism. *)
+(* (name, detector config, generator pressure, replay gate).  The
+   vkey rotation entries pair a virtual pool with the high-pressure
+   generator profile (every program past the 13 physical keys, half
+   far past), keeping the cache's load/evict/stall windows — and their
+   one expected evidence class, vkey-eviction-blame — under the three
+   oracles.  Entries are picked by [i mod 15], so the list's length
+   and order are part of every campaign's identity; the entries whose
+   names end in -shardsN once also ran a sharded-engine gate that no
+   longer exists, and keep their names so recorded repros still
+   describe themselves. *)
 let configs =
   let d = Config.default in
-  [ ("default", d, 1, `Default, false);
-    ("keys4", { d with Config.data_keys = 4 }, 1, `Default, false);
-    ("keys4-soft", { d with Config.data_keys = 4; software_fallback = true }, 1, `Default, false);
-    ("by-lock", { d with Config.section_identity = Config.By_lock }, 1, `Default, false);
-    ("default-shards4", d, 4, `Default, false);
-    ("keys4-shards3", { d with Config.data_keys = 4 }, 3, `Default, false);
-    ("vkeys64", { d with Config.vkeys = 64 }, 1, `Vkey_rotation, false);
-    ("vkeys64-keys4", { d with Config.data_keys = 4; vkeys = 64 }, 1, `Vkey_rotation, false);
-    ("vkeys64-shards2", { d with Config.vkeys = 64 }, 2, `Vkey_rotation, false);
+  [ ("default", d, `Default, false);
+    ("keys4", { d with Config.data_keys = 4 }, `Default, false);
+    ("keys4-soft", { d with Config.data_keys = 4; software_fallback = true }, `Default, false);
+    ("by-lock", { d with Config.section_identity = Config.By_lock }, `Default, false);
+    ("default-shards4", d, `Default, false);
+    ("keys4-shards3", { d with Config.data_keys = 4 }, `Default, false);
+    ("vkeys64", { d with Config.vkeys = 64 }, `Vkey_rotation, false);
+    ("vkeys64-keys4", { d with Config.data_keys = 4; vkeys = 64 }, `Vkey_rotation, false);
+    ("vkeys64-shards2", { d with Config.vkeys = 64 }, `Vkey_rotation, false);
     (* The sampling entries keep the subset contract under the three
        oracles: misses classify as the expected sampling-missed-race,
        while an over-report a full-detector mechanism cannot explain
        still fails the campaign.  The short epoch forces rotations
        (drain-at-fault, batched re-arm) inside even these small
-       programs; the sharded entry runs the dual-machine gate with
-       sampling active. *)
-    ("sampling50", { d with Config.sampling = 0.5; sampling_epoch = 100_000 }, 1, `Default, false);
+       programs. *)
+    ("sampling50", { d with Config.sampling = 0.5; sampling_epoch = 100_000 }, `Default, false);
     ("sampling25-keys4",
-     { d with Config.sampling = 0.25; sampling_epoch = 100_000; data_keys = 4 }, 1, `Default,
-     false);
+     { d with Config.sampling = 0.25; sampling_epoch = 100_000; data_keys = 4 }, `Default, false);
     ("sampling50-vkeys64",
-     { d with Config.sampling = 0.5; sampling_epoch = 100_000; vkeys = 64 }, 1, `Vkey_rotation,
+     { d with Config.sampling = 0.5; sampling_epoch = 100_000; vkeys = 64 }, `Vkey_rotation,
      false);
     ("sampling25-shards2",
-     { d with Config.sampling = 0.25; sampling_epoch = 100_000 }, 2, `Default, false);
+     { d with Config.sampling = 0.25; sampling_epoch = 100_000 }, `Default, false);
     (* The replay-oracle entries (DESIGN.md §13) run the record/replay
        gate on their programs: record the run's nondeterminism log,
        round-trip it through the wire codec, strictly replay it, and
        demand an identical report and race list — any difference is
        the never-expected replay-divergence class.  One entry keeps
-       the default detector; the other pairs replay with the burst
-       engine and a sampled detector, the configuration where a
-       clock-reading recorder would break first. *)
-    ("replay-oracle", d, 1, `Default, true);
+       the default detector; the other pairs replay with a sampled
+       detector, whose epoch rotation reads the virtual clock. *)
+    ("replay-oracle", d, `Default, true);
     ("replay-oracle-sampling50-shards2",
-     { d with Config.sampling = 0.5; sampling_epoch = 100_000 }, 2, `Default, true) ]
+     { d with Config.sampling = 0.5; sampling_epoch = 100_000 }, `Default, true) ]
 
 type result = {
   programs : int;
@@ -82,14 +77,13 @@ type reconstructed = {
   rp_prog : Prog.t;
   rp_config_name : string;
   rp_config : Config.t;
-  rp_shards : int;
   rp_replay : bool;
   rp_machine_seed : int;
 }
 
 let reconstruct ~seed i =
   let rand = Random.State.make [| seed; i |] in
-  let config_name, config, entry_shards, pressure, replay =
+  let config_name, config, pressure, replay =
     List.nth configs (i mod List.length configs)
   in
   let prog = Prog.generate ~pressure ~rand () in
@@ -97,7 +91,6 @@ let reconstruct ~seed i =
   { rp_prog = prog;
     rp_config_name = config_name;
     rp_config = config;
-    rp_shards = entry_shards;
     rp_replay = replay;
     rp_machine_seed = mseed }
 
@@ -111,7 +104,7 @@ let of_target s =
     | _ -> None)
   | _ -> None
 
-let run_one ?shards ?sampling ?replay ~seed i =
+let run_one ?sampling ?replay ~seed i =
   let r = reconstruct ~seed i in
   let config_name = r.rp_config_name in
   let config =
@@ -121,16 +114,12 @@ let run_one ?shards ?sampling ?replay ~seed i =
   in
   let prog = r.rp_prog in
   let mseed = r.rp_machine_seed in
-  let shards = Option.value ~default:r.rp_shards shards in
   let replay = Option.value ~default:r.rp_replay replay in
   let outcome =
-    Harness.run ~config ~shards ~replay ~replay_target:(target ~seed i) ~seed:mseed prog
+    Harness.run ~config ~replay ~replay_target:(target ~seed i) ~seed:mseed prog
   in
   let obj_classes =
     List.concat_map (fun (v : Classify.obj_verdict) -> v.Classify.classes) outcome.Harness.divergent
-    @ (if List.exists (D.equal D.Shard_divergence) outcome.Harness.classes then
-         [ D.Shard_divergence ]
-       else [])
   in
   let is_divergent = obj_classes <> [] || outcome.Harness.stuck <> None in
   let is_unexpected = outcome.Harness.unexpected in
@@ -144,7 +133,7 @@ let run_one ?shards ?sampling ?replay ~seed i =
   let shrunk_src =
     if not is_unexpected then None
     else begin
-      let oracle p = (Harness.run ~config ~shards ~replay ~seed:mseed p).Harness.unexpected in
+      let oracle p = (Harness.run ~config ~replay ~seed:mseed p).Harness.unexpected in
       let small, _evals = Shrink.minimize ~oracle prog in
       Some (header ", minimized" ^ Prog.to_ocaml small)
     end
@@ -243,7 +232,7 @@ let result_of_state st ~programs =
 let report fmt r =
   Format.fprintf fmt "@[<v 0>fuzz campaign: %d programs, %d divergent@," r.total r.divergent;
   Format.fprintf fmt "configs: %s@,"
-    (String.concat ", " (List.map (fun (n, _, _, _, _) -> n) configs));
+    (String.concat ", " (List.map (fun (n, _, _, _) -> n) configs));
   if r.class_counts = [] then Format.fprintf fmt "no divergences@,"
   else
     List.iter
@@ -256,7 +245,7 @@ let report fmt r =
       (String.concat " " (List.map string_of_int idxs)));
   Format.fprintf fmt "@]"
 
-let run ?jobs ?corpus ?shards ?sampling ?replay ~count ~seed () =
+let run ?jobs ?corpus ?sampling ?replay ~count ~seed () =
   Option.iter (fun dir -> if not (Sys.file_exists dir) then Sys.mkdir dir 0o755) corpus;
   let st = match corpus with None -> empty_state seed | Some dir -> load_state dir ~seed in
   let start = st.st_done in
@@ -264,7 +253,7 @@ let run ?jobs ?corpus ?shards ?sampling ?replay ~count ~seed () =
   let outs =
     Pool.map ?jobs
       ~label:(fun _ i -> Printf.sprintf "fuzz program %d" i)
-      (run_one ?shards ?sampling ?replay ~seed) todo
+      (run_one ?sampling ?replay ~seed) todo
   in
   (* Merge in submission (= index) order: exemplars are the lowest
      index per class, so corpus contents are jobs-invariant. *)

@@ -18,46 +18,18 @@ type outcome = {
 
 let allocator = Machine.Unique_page { granule = 32; recycle_virtual_pages = false }
 
-(* The primary (trace-logged) machine never bursts — the log wrapper
-   makes its access hooks impure — so the burst engine is gated by a
-   dual run: the same program, seed and configuration on two
-   {e unwrapped} Kard machines, shards=1 vs shards=N, whose full
-   reports and race-record lists must be structurally identical
-   (DESIGN.md §10).  The unwrapped detector's hooks are pure and the
-   interpreter is compiled, so the shards=N run genuinely exercises
-   the burst fast path. *)
-let shard_gate ~config ~seed ~shards prog =
-  let run_at shards =
-    let cell = ref None in
-    let machine =
-      Machine.create ~seed ~shards ~allocator ~make_detector:(Detector.make ~config ~cell) ()
-    in
-    let (_ : Prog.run_ctx) = Prog.spawn_all prog ~machine ~on_event:(fun _ -> ()) in
-    match Machine.run machine with
-    | exception Machine.Stuck msg -> Error msg
-    | report -> Ok (report, Detector.races (Option.get !cell))
-  in
-  match (run_at 1, run_at shards) with
-  | Ok a, Ok b -> a = b
-  | Error a, Error b -> String.equal a b
-  | Ok _, Error _ | Error _, Ok _ -> false
-
-(* The record/replay layer (DESIGN.md §13) is gated the same way: the
+(* The record/replay layer (DESIGN.md §13) is gated by a dual run: the
    program runs once more on an unwrapped Kard machine with the
    recorder composed in, the log is pushed through its wire encoding
    and back — so the codec round-trips on every generated program —
    and a strict replay driven by the decoded tape must reproduce the
    report and race-record list exactly, with every pick, grant and
-   anchor matching and the tape fully consumed.  Like the shard gate,
-   the unwrapped hooks stay pure, so at shards>1 recording and replay
-   both genuinely run on the burst engine. *)
-let replay_gate ?(target = "fuzz") ~config ~seed ~shards prog =
+   anchor matching and the tape fully consumed. *)
+let replay_gate ?(target = "fuzz") ~config ~seed prog =
   let run_wrapped ?schedule wrap =
     let cell = ref None in
     let make_detector env = wrap env (Detector.make ~config ~cell env) in
-    let machine =
-      Machine.create ~seed ?schedule ~shards ~allocator ~make_detector ()
-    in
+    let machine = Machine.create ~seed ?schedule ~allocator ~make_detector () in
     let (_ : Prog.run_ctx) = Prog.spawn_all prog ~machine ~on_event:(fun _ -> ()) in
     match Machine.run machine with
     | exception Machine.Stuck msg -> Error msg
@@ -67,7 +39,7 @@ let replay_gate ?(target = "fuzz") ~config ~seed ~shards prog =
   let recorded = run_wrapped (Recorder.wrap recorder) in
   let header =
     { Log.detector = "kard"; target; threads = prog.Prog.workers + 1; scale = 1.0; seed;
-      shards; config = Some config }
+      shards = 1; config = Some config }
   in
   match Log.decode (Log.encode (Recorder.log recorder ~header)) with
   | exception Log.Error _ -> false
@@ -85,12 +57,13 @@ let replay_gate ?(target = "fuzz") ~config ~seed ~shards prog =
 let run ?(kard_filter = fun (_ : Race_record.t) -> true)
     ?(provenance_filter = fun (p : Detector.provenance) -> p) ?(config = Config.default)
     ?(shards = 1) ?(replay = false) ?replay_target ~seed prog =
+  if shards <> 1 then invalid_arg "Harness.run: shards must be 1";
   let cell = ref None in
   let log = Trace_log.create () in
   let make_detector env =
     Trace_log.wrap log ~meta:env.Hooks.meta (Detector.make ~config ~cell env)
   in
-  let machine = Machine.create ~seed ~shards ~allocator ~make_detector () in
+  let machine = Machine.create ~seed ~allocator ~make_detector () in
   let (_ : Prog.run_ctx) =
     Prog.spawn_all prog ~machine ~on_event:(fun ev -> Trace_log.emit log ev)
   in
@@ -117,14 +90,10 @@ let run ?(kard_filter = fun (_ : Race_record.t) -> true)
         ~kard ~alg1 ~hb ~lockset ()
     in
     let divergent = List.filter (fun v -> v.Classify.classes <> []) verdicts in
-    let shard_ok = shards <= 1 || shard_gate ~config ~seed ~shards prog in
-    let replay_ok =
-      (not replay) || replay_gate ?target:replay_target ~config ~seed ~shards prog
-    in
+    let replay_ok = (not replay) || replay_gate ?target:replay_target ~config ~seed prog in
     let classes =
       List.sort_uniq D.compare
-        ((if shard_ok then [] else [ D.Shard_divergence ])
-        @ (if replay_ok then [] else [ D.Replay_divergence ])
+        ((if replay_ok then [] else [ D.Replay_divergence ])
         @ List.concat_map (fun v -> v.Classify.classes) divergent)
     in
     let unexpected = List.exists (fun c -> not (D.expected c)) classes in

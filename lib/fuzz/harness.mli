@@ -12,10 +12,8 @@ type outcome = {
       (** The subset with a non-empty class list. *)
   classes : Kard_core.Divergence.cls list;
       (** Union over [divergent], sorted; additionally contains
-          {!Kard_core.Divergence.Shard_divergence} when the sharded
-          dual run (below) diverged, and
           {!Kard_core.Divergence.Replay_divergence} when the
-          record/replay gate (below) did. *)
+          record/replay gate (below) diverged. *)
   unexpected : bool;
   stuck : string option;
       (** The machine raised [Stuck] — impossible for a {!Prog.check}ed
@@ -42,13 +40,9 @@ val run :
     {!Kard_core.Config.default}); [seed] drives the machine
     schedule.
 
-    [shards] (default 1) shards the primary machine and, when greater
-    than 1, additionally runs the {e shard gate}: the same program on
-    two unwrapped Kard machines — shards=1 and shards=[shards], the
-    latter on the burst engine — whose full reports and race-record
-    lists must be structurally identical.  A mismatch adds the
-    never-expected {!Kard_core.Divergence.Shard_divergence} class, so
-    oracle equivalence gates the sharded execution engine.
+    [shards] is kept only for perfbench, which passes [~shards:1]; any
+    other value raises [Invalid_argument].  It goes when the benchmark
+    is next revised.
 
     [replay] (default false) additionally runs the {e replay gate}:
     the program once more on an unwrapped Kard machine with the
@@ -56,9 +50,9 @@ val run :
     through its wire encoding, and a strict {!Kard_replay.Replayer}
     re-execution that must reproduce the report and race-record list
     exactly with the tape fully consumed.  Any difference adds the
-    never-expected {!Kard_core.Divergence.Replay_divergence} class —
-    the campaign cross-checks log fidelity on generated programs the
-    same way it gates the burst engine.  [replay_target] names the
+    never-expected {!Kard_core.Divergence.Replay_divergence} class, so
+    the campaign cross-checks log fidelity on generated programs.
+    [replay_target] names the
     log's header target (default ["fuzz"]). *)
 
 val pp_outcome : Format.formatter -> outcome -> unit

@@ -21,8 +21,6 @@ let events t = List.rev t.rev_events
 
 let wrap t ~meta (hooks : Hooks.t) =
   { hooks with
-    (* The read/write wrappers below log events: never burst-eligible. *)
-    Hooks.pure_access = false;
     on_lock =
       (fun ~tid ~lock ~site ->
         emit t (Lock { tid; lock; site });

@@ -10,7 +10,6 @@ let serve_slo = 200_000
 let throughput_out = "BENCH_pr4.json"
 let parallel_out = "BENCH_pr3.json"
 let serve_out = "BENCH_pr6.json"
-let shard_out = "BENCH_pr7.json"
 let keys_out = "BENCH_pr8.json"
 let sampling_out = "BENCH_pr9.json"
 let record_out = "BENCH_pr10.json"
@@ -26,18 +25,6 @@ let jobs () =
   | None -> Domain.recommended_domain_count ()
 
 let shards_env = "KARD_SHARDS"
-
-(* Unlike [jobs], the fallback is 1, not the core count: sharding is
-   byte-identical at any count (so an env override is always safe), but
-   a single small run gains nothing from the burst engine — opting in
-   is a per-run decision ([--shards]) or a CI sweep ($KARD_SHARDS). *)
-let shards () =
-  match Sys.getenv_opt shards_env with
-  | Some s ->
-    (match int_of_string_opt (String.trim s) with
-    | Some n when n >= 1 -> n
-    | Some _ | None -> 1)
-  | None -> 1
 
 let vkeys_env = "KARD_VKEYS"
 

@@ -44,9 +44,6 @@ val serve_out : string
 (** Tracked output of [kard bench -e serve] and [kard serve-sweep]:
     ["BENCH_pr6.json"]. *)
 
-val shard_out : string
-(** Tracked output of [kard bench -e shard]: ["BENCH_pr7.json"]. *)
-
 val keys_out : string
 (** Tracked output of [kard bench -e keys] (the key-pressure sweep):
     ["BENCH_pr8.json"]. *)
@@ -73,14 +70,9 @@ val jobs : unit -> int
     A malformed or non-positive override is ignored. *)
 
 val shards_env : string
-(** Name of the environment variable overriding the machine shard
-    count: ["KARD_SHARDS"]. *)
-
-val shards : unit -> int
-(** Shard count for single-machine execution: [$KARD_SHARDS] when set
-    to a positive integer, otherwise [1].  Results are byte-identical
-    at any value (DESIGN.md §10), so overriding is always safe; >= 2
-    additionally turns on the burst engine where eligible. *)
+(** ["KARD_SHARDS"], which the simulator no longer reads.  Kept only
+    for perfbench, which refuses to run while it is set; goes when the
+    benchmark is next revised. *)
 
 val vkeys_env : string
 (** Name of the environment variable overriding the virtual-key pool

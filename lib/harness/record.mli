@@ -30,6 +30,10 @@ val subject_name : subject -> string
 val header :
   detector:Runner.detector ->
   target:string -> threads:int -> scale:float -> seed:int -> shards:int -> Kard_replay.Log.header
+(** The header of a recording.  [shards] is kept only for perfbench,
+    which passes [~shards:1]; any other value raises
+    [Invalid_argument].  It goes when the benchmark is next revised
+    (the header's wire field stays, always 1). *)
 
 val detector_of_header : Kard_replay.Log.header -> (Runner.detector, string) result
 (** Reconstruct the recorded detector (a kard header carries its full
@@ -44,7 +48,6 @@ val record :
   ?threads:int ->
   ?scale:float ->
   ?seed:int ->
-  ?shards:int ->
   ?override_config:Kard_core.Config.t ->
   detector:Runner.detector ->
   subject ->
@@ -57,7 +60,6 @@ val record :
 
 val record_build :
   ?trace:Kard_obs.Trace.t ->
-  ?shards:int ->
   threads:int ->
   scale:float ->
   seed:int ->
@@ -75,20 +77,17 @@ type fidelity = (unit, string) result
 
 val replay :
   ?trace:Kard_obs.Trace.t ->
-  ?shards:int ->
   ?detector:Runner.detector ->
   Kard_replay.Log.t ->
   (Runner.result * fidelity, string) result
 (** Re-execute a log whose target is a spec or scenario, resolving
     everything from the header.  [detector] overrides the recorded
     one (cross-detector replay; fidelity drops to schedule-only
-    strength).  [shards] defaults to the header's count — any value
-    produces the same result.  [Error] means the target could not be
+    strength).  [Error] means the target could not be
     resolved or the detector could not be reconstructed. *)
 
 val replay_build :
   ?trace:Kard_obs.Trace.t ->
-  ?shards:int ->
   ?detector:Runner.detector ->
   Kard_replay.Log.t ->
   (Kard_sched.Machine.t -> unit) ->

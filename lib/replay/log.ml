@@ -173,6 +173,27 @@ let get_config c =
     software_fallback; exit_delay_cycles; section_identity; vkeys; sampling; sampling_epoch;
     sampling_seed }
 
+(* {2 Header ranges}
+
+   A log is input from outside: syntax alone does not make its
+   header safe to run.  Every field that sizes or configures the
+   replay is range-checked here, so a corrupt value surfaces as
+   [Corrupt] instead of an exception from a constructor mid-run.
+   [shards] is a retired field: checked, then ignored. *)
+
+let max_threads = 1 lsl 16
+
+let check_header h =
+  let corrupt fmt = Printf.ksprintf (fun msg -> raise (Error (Corrupt msg))) fmt in
+  if h.threads < 1 || h.threads > max_threads then
+    corrupt "header threads %d outside [1, %d]" h.threads max_threads;
+  if not (h.scale > 0.0 && h.scale <= 1.0) then corrupt "header scale %h outside (0, 1]" h.scale;
+  if h.shards < 1 then corrupt "header shards %d below 1" h.shards;
+  match h.config with
+  | None -> ()
+  | Some c -> (
+    match Config.validate c with Ok () -> () | Error msg -> corrupt "header config: %s" msg)
+
 (* {2 Whole-log codec} *)
 
 let encode t =
@@ -243,6 +264,7 @@ let decode data =
     | n -> raise (Error (Corrupt (Printf.sprintf "config presence byte %d" n)))
   in
   let header = { detector; target; threads; scale; seed; shards; config } in
+  check_header header;
   let rev_events = ref [] in
   let picks = ref 0 and grants = ref 0 in
   let anchor_picks = ref 0 and anchor_clock = ref 0 in

@@ -12,9 +12,11 @@
     plus ~3 bytes per lock acquisition and a few bytes per anchor).
 
     Decoding is strict: a truncated body, an unknown tag, a
-    non-canonical encoding or a trailer/body count mismatch all raise
-    {!Error} rather than produce a best-effort log — replaying an
-    approximate schedule would silently re-execute a different run. *)
+    non-canonical encoding, a trailer/body count mismatch or a header
+    field out of range all raise {!Error} rather than produce a
+    best-effort log — replaying an approximate schedule would silently
+    re-execute a different run, and an out-of-range field would fail
+    inside it. *)
 
 type header = {
   detector : string;  (** Runner detector name: ["kard"], ["baseline"], ... *)
@@ -26,6 +28,8 @@ type header = {
   scale : float;  (** Exact bit pattern — not a decimal rendering. *)
   seed : int;
   shards : int;
+      (** Retired: the machine has one engine.  Always written as 1;
+          decoding range-checks it ([>= 1]) and replay ignores it. *)
   config : Kard_core.Config.t option;
       (** The full detector configuration for kard recordings ([None]
           for detectors without one): every knob, not just the CLI
@@ -37,8 +41,7 @@ type event =
   | Grant of { lock : int; tid : int }
       (** [tid] entered the critical section on [lock] (the machine's
           [on_lock] point — uncontended acquire or FIFO ownership
-          transfer), at a committed virtual clock even under the burst
-          engine. *)
+          transfer). *)
   | Anchor of { picks : int; clock : int }
       (** Periodic checkpoint: absolute pick count and absolute
           virtual clock at a grant.  Pins clock-derived state —
@@ -68,8 +71,14 @@ val encode : t -> string
 (** @raise Invalid_argument on negative tids or non-monotone anchors
     (a recorder bug, not an input error). *)
 
+val max_threads : int
+(** Largest header thread count {!decode} accepts: [2^16]. *)
+
 val decode : string -> t
-(** Inverse of {!encode}. @raise Error on anything malformed. *)
+(** Inverse of {!encode}.  Besides the syntax, checks the header's
+    ranges: [threads] in [[1, max_threads]], [scale] in (0, 1],
+    [shards >= 1] and the config through {!Kard_core.Config.validate}.
+    @raise Error on anything malformed. *)
 
 val to_file : string -> t -> unit
 val of_file : string -> t

@@ -14,7 +14,6 @@ type fault_outcome = { fault_cycles : int; action : fault_action }
 
 type t = {
   name : string;
-  pure_access : bool;
   on_pick : tid:int -> unit;
   on_spawn : tid:int -> int;
   on_global : Kard_alloc.Obj_meta.t -> int;
@@ -34,7 +33,6 @@ type t = {
 
 let null ~name =
   { name;
-    pure_access = true;
     on_pick = (fun ~tid:_ -> ());
     on_spawn = (fun ~tid:_ -> 0);
     on_global = (fun _ -> 0);

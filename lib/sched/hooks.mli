@@ -24,24 +24,11 @@ type fault_outcome = { fault_cycles : int; action : fault_action }
 
 type t = {
   name : string;
-  pure_access : bool;
-      (** Whether the four per-access hooks ([on_read]/[on_write] and
-          the block variants) are pure no-ops returning 0.  True for
-          Kard and the baseline (fault-driven detection needs no
-          per-access instrumentation); any wrapper that intercepts an
-          access hook — TSan, Eraser, the fuzz trace log — must set it
-          false explicitly, or the sharded machine's burst engine will
-          skip the hook on the fast path.  [{ null with on_read = ... }]
-          silently inherits [true]: don't do that. *)
   on_pick : tid:int -> unit;
       (** Called right after the scheduler picks [tid], before the
           step executes.  Returns no cycles: observing the schedule is
           free by construction, which is what lets the record/replay
-          layer log every pick at zero simulated cost.  Under the
-          burst engine this fires at pick time, when the virtual clock
-          may lag uncommitted work — implementations must not read the
-          clock here (grant-time hooks like [on_lock] are the
-          committed-clock observation points). *)
+          layer log every pick at zero simulated cost. *)
   on_spawn : tid:int -> int;
   on_global : Kard_alloc.Obj_meta.t -> int;
   on_alloc : tid:int -> Kard_alloc.Obj_meta.t -> int;

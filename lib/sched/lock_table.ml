@@ -6,6 +6,7 @@
 type lock_state = {
   mutable owner : int; (* -1 = free *)
   waiters : Dense.Int_ring.t;
+  mutable dilation : int; (* cycles charged to holders while threads waited *)
 }
 
 type t = {
@@ -39,7 +40,7 @@ let state_of t lock =
   match t.locks.(lock) with
   | Some s -> s
   | None ->
-    let s = { owner = -1; waiters = Dense.Int_ring.create () } in
+    let s = { owner = -1; waiters = Dense.Int_ring.create (); dilation = 0 } in
     t.locks.(lock) <- Some s;
     s
 
@@ -127,10 +128,6 @@ let owner t ~lock =
 
 let held_count t ~tid = if tid < Array.length t.held then t.held_n.(tid) else 0
 
-let held_nth t ~tid i =
-  if i < 0 || i >= held_count t ~tid then invalid_arg "Lock_table.held_nth"
-  else t.held.(tid).(i)
-
 (* Most recently acquired first, as the cons-list predecessor. *)
 let held_by t ~tid =
   let rec go i acc = if i >= held_count t ~tid then acc else go (i + 1) (t.held.(tid).(i) :: acc) in
@@ -154,10 +151,26 @@ let waiter_count t ~lock =
     | Some s -> Dense.Int_ring.length s.waiters
     | None -> 0
 
-let waiter_nth t ~lock i =
-  match t.locks.(lock) with
-  | Some s -> Dense.Int_ring.nth s.waiters i
-  | None -> invalid_arg "Lock_table.waiter_nth: unknown lock"
+(* Waiter dilation, settled per lock: [tid] (a holder) spent [cycles];
+   add them to the dilation total of every lock it holds that has
+   waiters, and return how many threads that stalled.  O(locks held)
+   — a waiter reads {!dilation} when it queues and again when it is
+   granted the lock, and the difference is its stall. *)
+let dilate_held t ~tid cycles =
+  let stalled = ref 0 in
+  for i = 0 to held_count t ~tid - 1 do
+    match t.locks.(t.held.(tid).(i)) with
+    | Some s ->
+      let waiting = Dense.Int_ring.length s.waiters in
+      if waiting > 0 then begin
+        s.dilation <- s.dilation + cycles;
+        stalled := !stalled + waiting
+      end
+    | None -> ()
+  done;
+  !stalled
+
+let dilation t ~lock = (state_of t lock).dilation
 
 let contended_acquires t = t.contended
 let total_acquires t = t.total

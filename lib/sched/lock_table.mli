@@ -10,8 +10,9 @@
     a per-thread index of held locks, so "which locks does thread [t]
     own" and "who waits on lock [l]" are both answerable in time
     proportional to the answer — never by scanning every lock or every
-    thread.  The machine's waiter-stall accounting is built on these
-    two queries. *)
+    thread.  Each lock also keeps a waiter-dilation total, which lets
+    the machine settle waiter stalls once per lock instead of once per
+    waiter per charge. *)
 
 type t
 
@@ -41,24 +42,21 @@ val iter_held : t -> tid:int -> (int -> unit) -> unit
 (** Apply a function to every lock [tid] owns (allocation-free
     [held_by]). *)
 
-val held_count : t -> tid:int -> int
-
-val held_nth : t -> tid:int -> int -> int
-(** [held_nth t ~tid i] is the [i]th owned lock, oldest first.
-    Indexed access for allocation-free walks on the machine's
-    per-charge path.
-    @raise Invalid_argument when [i] is out of range. *)
-
 val iter_waiters : t -> lock:int -> (int -> unit) -> unit
 (** Apply a function to every thread queued on [lock], FIFO order. *)
 
 val waiter_count : t -> lock:int -> int
 
-val waiter_nth : t -> lock:int -> int -> int
-(** [waiter_nth t ~lock i] is the [i]th queued thread, FIFO order
-    (index 0 is woken next); with {!waiter_count} this gives the
-    machine a closure-free waiter walk.
-    @raise Invalid_argument out of range. *)
+val dilate_held : t -> tid:int -> int -> int
+(** [dilate_held t ~tid cycles]: the holder [tid] spent [cycles]; add
+    them to the dilation total of every lock it owns that has waiters
+    and return the number of threads stalled (the sum of those locks'
+    waiter counts).  O(locks held by [tid]). *)
+
+val dilation : t -> lock:int -> int
+(** The running dilation total of [lock].  A waiter's stall is the
+    difference between the total when it queued and the total when it
+    was granted the lock. *)
 
 val contended_acquires : t -> int
 val total_acquires : t -> int

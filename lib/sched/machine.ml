@@ -26,6 +26,7 @@ type thread = {
   mutable status : thread_status;
   mutable blocked_lock : int; (* valid while status = Blocked *)
   mutable blocked_site : int;
+  mutable blocked_dilation : int; (* [blocked_lock]'s dilation total when this thread queued *)
   mutable cycles : int;
   mutable lock_depth : int;
   mutable op_index : int;
@@ -45,7 +46,6 @@ type t = {
   locks : Lock_table.t;
   alloc : Alloc_iface.t;
   hooks : Hooks.t;
-  shard_workers : int option; (* burst-drain Domains; None = auto *)
   mutable threads : thread array; (* index = tid; live prefix [0, thread_count) *)
   mutable thread_count : int;
   runnable : Runnable_set.t; (* tids with status Runnable, maintained on transitions *)
@@ -65,16 +65,14 @@ type t = {
 exception Stuck of string
 
 let create ?(seed = 42) ?schedule ?(cost = Cost_model.default) ?trace
-    ?(max_steps = 80_000_000) ?(interp = `Compiled) ?(shards = 1) ?shard_workers
-    ~allocator ~make_detector () =
-  if shards < 1 then invalid_arg "Machine.create: shards must be >= 1";
+    ?(max_steps = 80_000_000) ?(interp = `Compiled) ~allocator ~make_detector () =
   let schedule = Option.value ~default:(Schedule.Random seed) schedule in
   let phys = Phys_mem.create () in
   let aspace = Address_space.create phys in
   let clock = Sim_clock.create () in
   (* Stamp every event of this run with the virtual cycle clock. *)
   Option.iter (fun tr -> Kard_obs.Trace.set_clock tr (fun () -> Sim_clock.now clock)) trace;
-  let hw = Mpk_hw.create ~cost ?trace ~shards () in
+  let hw = Mpk_hw.create ~cost ?trace () in
   let meta = Meta_table.create () in
   let alloc =
     match allocator with
@@ -99,7 +97,6 @@ let create ?(seed = 42) ?schedule ?(cost = Cost_model.default) ?trace
     locks = Lock_table.create ();
     alloc;
     hooks;
-    shard_workers;
     threads = [||];
     thread_count = 0;
     runnable = Runnable_set.create ();
@@ -126,7 +123,6 @@ let aspace t = t.aspace
 let alloc_iface t = t.alloc
 let now t = Sim_clock.now t.clock
 let trace t = t.trace
-let shards t = Mpk_hw.shards t.hw
 
 let add_global ?(resident = false) t ~site ~size =
   if t.started then invalid_arg "Machine.add_global: machine already running";
@@ -161,6 +157,7 @@ let spawn t program =
       status = Runnable;
       blocked_lock = -1;
       blocked_site = -1;
+      blocked_dilation = 0;
       cycles = 0;
       lock_depth = 0;
       op_index = 0 }
@@ -174,17 +171,33 @@ let spawn t program =
   Runnable_set.add t.runnable tid;
   tid
 
-(* Status transitions, which are the only places the runnable set is
-   touched — the step loop itself never rebuilds it. *)
+(* Cycles spent while holding locks also stall every thread blocked on
+   those locks: critical sections dilate the critical path.  This is
+   what makes detection work performed inside sections (fault
+   handling, key juggling) increasingly expensive as thread counts —
+   and hence waiter counts — grow (the paper's Figure 5 dynamic).
+   Baseline in-section compute dilates identically, so comparisons
+   stay fair.
+
+   The stall is settled lazily, per lock: [charge] adds the holder's
+   cycles to each held lock's dilation total and advances the clock
+   for every waiter at once; a waiter snapshots its lock's total when
+   it queues and takes the difference when ownership passes to it.
+   A blocked thread's [cycles] is only read by [report_of], after
+   every thread has finished, so this equals charging each waiter on
+   every access (DESIGN.md section 10). *)
 
 let block t thread ~lock ~site =
   thread.status <- Blocked;
   thread.blocked_lock <- lock;
   thread.blocked_site <- site;
+  thread.blocked_dilation <- Lock_table.dilation t.locks ~lock;
   Runnable_set.remove t.runnable thread.tid
 
 let wake t thread =
   thread.status <- Runnable;
+  thread.cycles <-
+    thread.cycles + Lock_table.dilation t.locks ~lock:thread.blocked_lock - thread.blocked_dilation;
   Runnable_set.add t.runnable thread.tid
 
 let finish t thread =
@@ -192,39 +205,15 @@ let finish t thread =
   t.finished_count <- t.finished_count + 1;
   Runnable_set.remove t.runnable thread.tid
 
-(* Cycles spent while holding locks also stall every thread blocked on
-   those locks: critical sections dilate the critical path.  This is
-   what makes detection work performed inside sections (fault
-   handling, key juggling) increasingly expensive as thread counts —
-   and hence waiter counts — grow (the paper's Figure 5 dynamic).
-   Baseline in-section compute dilates identically, so comparisons
-   stay fair. *)
-let charge_held_lock t lock cycles =
-  (* Walk only the locks the holder owns and the threads actually
-     queued on them (both indexed by Lock_table), instead of testing
-     every thread against every blocked lock's owner.  A thread sits
-     in a waiter queue iff its status is [Blocked] on that lock, so
-     the charged set is identical to a full scan.  Indexed access
-     ([waiter_nth]/[held_nth]) rather than iterators or lists keeps
-     the per-charge walk allocation-free. *)
-  let n = Lock_table.waiter_count t.locks ~lock in
-  for i = 0 to n - 1 do
-    let th = t.threads.(Lock_table.waiter_nth t.locks ~lock i) in
-    th.cycles <- th.cycles + cycles;
-    Sim_clock.advance t.clock cycles
-  done
-
-let charge_waiters t holder cycles =
-  if holder.lock_depth > 0 then
-    for i = 0 to Lock_table.held_count t.locks ~tid:holder.tid - 1 do
-      charge_held_lock t (Lock_table.held_nth t.locks ~tid:holder.tid i) cycles
-    done
-
 let charge t thread cycles =
   assert (cycles >= 0);
   thread.cycles <- thread.cycles + cycles;
-  Sim_clock.advance t.clock cycles;
-  if cycles > 0 then charge_waiters t thread cycles
+  let stalled =
+    if cycles > 0 && thread.lock_depth > 0 then
+      Lock_table.dilate_held t.locks ~tid:thread.tid cycles
+    else 0
+  in
+  Sim_clock.advance t.clock (cycles * (1 + stalled))
 
 let enter_section t thread =
   if thread.lock_depth = 0 then begin
@@ -501,7 +490,6 @@ type report = {
   alloc_stats : Alloc_iface.stats;
   hw_stats : Mpk_hw.stats;
   per_thread_cycles : int array;
-  schedule_trace : int array;
 }
 
 let report_of t =
@@ -533,10 +521,10 @@ let report_of t =
         ~accesses:hw_stats.Mpk_hw.dtlb_accesses;
     alloc_stats = t.alloc.Alloc_iface.stats ();
     hw_stats;
-    per_thread_cycles = per_thread;
-    schedule_trace = Schedule.recorded t.sched }
+    per_thread_cycles = per_thread }
 
-let run_direct t =
+let run t =
+  t.started <- true;
   (* The hot loop: per step, one O(log threads) pick from the
      incrementally maintained runnable set, one array index, one
      cursor fetch — nothing here scans the thread population or
@@ -556,147 +544,7 @@ let run_direct t =
       loop ()
     end
   in
-  loop ()
-
-(* {1 The burst engine (shards >= 2)}
-
-   Same schedule, same observable state, different commit discipline:
-   granted data accesses get their (exact) protection verdict at
-   enqueue time and defer TLB work plus cycle accounting into
-   per-shard queues; compute/io cycles bank into per-thread sums
-   without queueing.  Everything that could *observe* or *change*
-   machine state — lock ops, faults, boxed ops, generator closures,
-   trace events, the end of the run — flushes first, so every
-   observation happens at a fully committed clock.  Between flushes
-   the lock/waiter structure and protection state are frozen, which
-   makes the per-thread sum commit (one [charge] per touched thread)
-   arithmetically identical to legacy per-access charging — and far
-   cheaper: the O(waiters) dilation walk runs once per thread per
-   burst instead of once per access. *)
-
-(* Cap queued accesses so a long lock-free stretch cannot grow queues
-   (and the clock lag) without bound. *)
-let burst_capacity = 8192
-
-let burst_flush b commit = if Burst.dirty b then Burst.flush b ~commit
-
-let burst_access t b commit thread access addr =
-  let vpage = Page.vpage_of_addr addr in
-  if Mpk_hw.access_granted t.hw ~tid:thread.tid ~vpage ~access then begin
-    Burst.enqueue b ~slice:(Mpk_hw.slice_of_vpage t.hw vpage) ~tid:thread.tid ~vpage;
-    if Burst.pending b >= burst_capacity then burst_flush b commit
-  end
-  else begin
-    (* Denied: commit everything pending, then take the legacy fault
-       path inline — handler, retries, trace events all see the same
-       clock the sequential machine would. *)
-    burst_flush b commit;
-    perform_access t thread addr access
-  end
-
-let step_thread_burst t b commit thread =
-  let cur = thread.cursor in
-  (* A non-hot fetch runs generator/thunk/spin closures that may read
-     the virtual clock ([wait_until]); commit before letting them. *)
-  if not (Program.fetch_is_hot cur) then burst_flush b commit;
-  let tag = Program.fetch cur in
-  if tag = Program.tag_halt then begin
-    (* The exit hook (and a validator wrapping it) must observe a
-       committed clock. *)
-    burst_flush b commit;
-    finish t thread;
-    if thread.lock_depth > 0 then
-      raise (Stuck (Printf.sprintf "thread %d finished while holding a lock" thread.tid));
-    charge t thread (t.hooks.Hooks.on_thread_exit ~tid:thread.tid)
-  end
-  else begin
-    thread.op_index <- thread.op_index + 1;
-    if tag = Program.tag_read then begin
-      t.reads <- t.reads + 1;
-      burst_access t b commit thread `Read (Program.arg_a cur)
-    end
-    else if tag = Program.tag_write then begin
-      t.writes <- t.writes + 1;
-      burst_access t b commit thread `Write (Program.arg_a cur)
-    end
-    else if tag = Program.tag_compute then begin
-      t.computes <- t.computes + 1;
-      Burst.add_inline b ~tid:thread.tid (Program.arg_a cur)
-    end
-    else if tag = Program.tag_lock then begin
-      burst_flush b commit;
-      do_lock t thread ~lock:(Program.arg_a cur) ~site:(Program.arg_b cur)
-    end
-    else if tag = Program.tag_unlock then begin
-      burst_flush b commit;
-      do_unlock t thread ~lock:(Program.arg_a cur)
-    end
-    else if tag = Program.tag_io then begin
-      let cycles = Program.arg_a cur in
-      t.io_cycles <- t.io_cycles + cycles;
-      Burst.add_inline b ~tid:thread.tid cycles
-    end
-    else if tag = Program.tag_yield then ()
-    else begin
-      (* Boxed ops (alloc/free/blocks) mutate the page table, the meta
-         table or stream through the TLB — merge points, all of them. *)
-      burst_flush b commit;
-      exec_op t thread (Program.boxed_op cur)
-    end
-  end
-
-let run_burst t =
-  let workers =
-    match t.shard_workers with
-    | Some w -> w
-    | None -> min (Mpk_hw.shards t.hw - 1) (Domain.recommended_domain_count () - 1)
-  in
-  let b =
-    Burst.create ~workers ~shards:(Mpk_hw.shards t.hw) ~threads:t.thread_count
-      ~hw:t.hw ()
-  in
-  let commit tid cycles = charge t t.threads.(tid) cycles in
-  Fun.protect
-    ~finally:(fun () -> Burst.stop b)
-    (fun () ->
-      let rec loop () =
-        if Runnable_set.cardinal t.runnable = 0 then begin
-          if t.finished_count < t.thread_count then
-            raise (Stuck "deadlock: threads blocked with no runnable thread")
-        end
-        else begin
-          t.steps <- t.steps + 1;
-          if t.steps > t.max_steps then begin
-            burst_flush b commit;
-            raise (Stuck (Printf.sprintf "max_steps (%d) exceeded" t.max_steps))
-          end;
-          let tid = Schedule.pick t.sched ~runnable:t.runnable in
-          t.hooks.Hooks.on_pick ~tid;
-          step_thread_burst t b commit (thread_by_tid t tid);
-          loop ()
-        end
-      in
-      loop ();
-      burst_flush b commit)
-
-let run t =
-  t.started <- true;
-  (* The burst engine requires that nothing observes machine state
-     between merge points: pure access hooks (Kard, baseline — not
-     TSan/Eraser/the fuzz trace log), the compiled interpreter (the
-     thunk view boxes every op through closures), no per-step trace
-     events, and tids that fit the packed queue encoding.  Ineligible
-     machines run the direct engine — still with sliced TLBs, still
-     byte-identical at any shard count. *)
-  let burst_eligible =
-    Mpk_hw.shards t.hw >= 2 && t.hooks.Hooks.pure_access
-    && (match t.interp with `Compiled -> true | `Thunks -> false)
-    && (match t.trace with
-       | Some tr -> not (Kard_obs.Trace.steps tr)
-       | None -> true)
-    && t.thread_count <= 65536
-  in
-  if burst_eligible then run_burst t else run_direct t;
+  loop ();
   t.hooks.Hooks.on_finish ();
   report_of t
 

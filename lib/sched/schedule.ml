@@ -6,8 +6,6 @@ type t =
 type state = {
   policy : t;
   rng : Random.State.t;
-  mutable picks : int array; (* growable buffer; first [pick_count] live *)
-  mutable pick_count : int;
   mutable cursor : int;
   mutable rr_last : int;
 }
@@ -15,20 +13,8 @@ type state = {
 let start policy =
   { policy;
     rng = Random.State.make [| (match policy with Random seed -> seed | Round_robin | Replay _ -> 0) |];
-    picks = Array.make 1024 0;
-    pick_count = 0;
     cursor = 0;
     rr_last = -1 }
-
-let record state choice =
-  let cap = Array.length state.picks in
-  if state.pick_count = cap then begin
-    let bigger = Array.make (2 * cap) 0 in
-    Array.blit state.picks 0 bigger 0 cap;
-    state.picks <- bigger
-  end;
-  state.picks.(state.pick_count) <- choice;
-  state.pick_count <- state.pick_count + 1
 
 let round_robin state runnable =
   (* The smallest runnable thread id strictly greater than the last
@@ -58,10 +44,7 @@ let pick state ~runnable =
   in
   state.cursor <- state.cursor + 1;
   state.rr_last <- choice;
-  record state choice;
   choice
-
-let recorded state = Array.sub state.picks 0 state.pick_count
 
 let pp fmt = function
   | Random seed -> Format.fprintf fmt "random(seed=%d)" seed

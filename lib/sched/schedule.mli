@@ -7,9 +7,9 @@
     bug, then replay that schedule while investigating.
 
     Picking reads the machine's {!Runnable_set} directly (no per-step
-    list materialization) and appends to a growable pick buffer, so a
-    pick costs O(log threads) selection plus O(1) recording — the
-    machine's step loop no longer pays O(threads) per operation. *)
+    list materialization), so a pick costs O(log threads).  Picks are
+    not kept: to capture a run's schedule, observe
+    {!Hooks.t.on_pick} (the record/replay layer's recorder does). *)
 
 type t =
   | Random of int        (** Uniform over runnable threads, seeded. *)
@@ -23,11 +23,8 @@ type state
 val start : t -> state
 
 val pick : state -> runnable:Runnable_set.t -> int
-(** Choose a member of [runnable] (non-empty) and record the choice.
+(** Choose a member of [runnable] (non-empty).
     The random policy indexes the set in descending-tid order, which
     preserves the pick sequence of every historical seed. *)
-
-val recorded : state -> int array
-(** Every pick made so far, in order — feed to {!Replay}. *)
 
 val pp : Format.formatter -> t -> unit

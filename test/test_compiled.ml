@@ -76,6 +76,17 @@ let test_race_suite_oracle () =
         (compiled.Runner.kard_races = oracle.Runner.kard_races))
     Race_suite.all
 
+(* The lock convoy, where nearly every step charges a holder with
+   waiters queued behind it. *)
+let test_convoy_oracle () =
+  let run interp =
+    Runner.run ~interp ~threads:16 ~scale:0.02 ~seed:7
+      ~detector:(Runner.Kard Kard_core.Config.default) Kard_workloads.Contended.convoy
+  in
+  let compiled = run `Compiled and oracle = run `Thunks in
+  assert_identical "convoy" compiled oracle;
+  check "convoy races" true (compiled.Runner.kard_races = oracle.Runner.kard_races)
+
 (* A program whose shape is decided while it runs: an [Alloc]
    continuation captures the object, [delay] builds the access pattern
    from the allocated base, [dynamic] emits segments until a counter
@@ -322,6 +333,7 @@ let () =
         [ Alcotest.test_case "workloads compiled = thunks" `Slow test_workloads_oracle;
           Alcotest.test_case "memcached across seeds" `Slow test_workloads_oracle_reseeded;
           Alcotest.test_case "race suite compiled = thunks" `Quick test_race_suite_oracle;
+          Alcotest.test_case "convoy compiled = thunks" `Quick test_convoy_oracle;
           Alcotest.test_case "dynamic program" `Quick test_dynamic_program_oracle ] );
       ( "allocation",
         [ Alcotest.test_case "per-step budget" `Slow test_allocation_budget ] );

@@ -48,8 +48,7 @@ let test_taxonomy_names_roundtrip () =
        (fun c ->
          D.expected c
          = not
-             (D.equal c D.Unexpected || D.equal c D.Shard_divergence
-             || D.equal c D.Replay_divergence))
+             (D.equal c D.Unexpected || D.equal c D.Replay_divergence))
        D.all)
 
 (* {1 Oracle units} *)
@@ -209,6 +208,19 @@ let test_harness_no_unexpected () =
       Alcotest.failf "program %d diverged unexpectedly:@ %a" i Harness.pp_outcome o
   done
 
+(* perfbench still passes [~shards:1]; the parameter accepts exactly
+   that value and gives the same outcome as leaving it out. *)
+let test_harness_shard_parameter_pinned () =
+  let prog = Prog.generate ~rand:(Random.State.make [| 7 |]) () in
+  let plain = Harness.run ~seed:3 prog in
+  let pinned = Harness.run ~shards:1 ~seed:3 prog in
+  check "shards 1 matches the default" true
+    (Format.asprintf "%a" Harness.pp_outcome plain = Format.asprintf "%a" Harness.pp_outcome pinned);
+  check "shards 2 rejected" true
+    (match Harness.run ~shards:2 ~seed:3 prog with
+     | _ -> false
+     | exception Invalid_argument _ -> true)
+
 (* {1 Campaign determinism} *)
 
 let rec rm_rf path =
@@ -306,7 +318,7 @@ let test_campaign_rotation_covers_replay () =
      two replay-oracle entries, must report nothing unexpected. *)
   check_int "rotation length" 15 (List.length Campaign.configs);
   check "rotation includes replay-oracle entries" true
-    (List.exists (fun (_, _, _, _, replay) -> replay) Campaign.configs);
+    (List.exists (fun (_, _, _, replay) -> replay) Campaign.configs);
   let r = Campaign.run ~jobs:2 ~count:(List.length Campaign.configs) ~seed:4242 () in
   check "no unexpected across one full rotation" true (r.Campaign.unexpected_indices = [])
 
@@ -385,7 +397,9 @@ let () =
             test_lockset_init_exemption ] );
       ( "harness",
         [ Alcotest.test_case "40-program sweep has no unexpected" `Quick
-            test_harness_no_unexpected ] );
+            test_harness_no_unexpected;
+          Alcotest.test_case "shard parameter pinned to 1" `Quick
+            test_harness_shard_parameter_pinned ] );
       ( "campaign",
         [ Alcotest.test_case "jobs-invariant corpus and report" `Quick
             test_campaign_jobs_invariant;

@@ -308,6 +308,25 @@ let test_tracing_costs_no_cycles () =
   check_int "identical steps" p.Machine.steps t.Machine.steps;
   check_int "identical rss" p.Machine.rss_bytes t.Machine.rss_bytes
 
+(* The 64-thread convoy at a smoke size: tracing charges nothing under
+   heavy waiter dilation either, and the Chrome trace is reproducible
+   byte for byte. *)
+let test_convoy_trace_identity () =
+  let detector = Runner.Kard (Kard_harness.Defaults.kard_config ()) in
+  let run trace =
+    Runner.run ?trace ~threads:16 ~scale:0.02 ~detector Kard_workloads.Contended.convoy
+  in
+  let plain = run None in
+  let traced () =
+    let r = run (Some (Trace.create ())) in
+    (r, Chrome_trace.to_json ~t:(Option.get r.Runner.trace))
+  in
+  let r1, json1 = traced () and r2, json2 = traced () in
+  check "traced report equals untraced" true (r1.Runner.report = plain.Runner.report);
+  check "traced races equal untraced" true (r1.Runner.kard_races = plain.Runner.kard_races);
+  check "repeated traced runs agree" true (r1.Runner.report = r2.Runner.report);
+  check "Chrome trace bytes identical" true (json1 = json2)
+
 let test_step_events_off_by_default () =
   let tr, _ = traced_run () in
   check "no step events unless asked" false
@@ -341,4 +360,5 @@ let () =
         [ Alcotest.test_case "export" `Slow test_chrome_export;
           Alcotest.test_case "empty export" `Quick test_chrome_export_empty ] );
       ( "zero-cost",
-        [ Alcotest.test_case "no cycles charged" `Slow test_tracing_costs_no_cycles ] ) ]
+        [ Alcotest.test_case "no cycles charged" `Slow test_tracing_costs_no_cycles;
+          Alcotest.test_case "convoy trace bytes" `Quick test_convoy_trace_identity ] ) ]

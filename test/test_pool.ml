@@ -201,6 +201,17 @@ let test_trace_oracle () =
     (export (Pool.run_jobs ~jobs:1 jobs))
     (export (Pool.run_jobs ~jobs:2 jobs))
 
+let test_map_gc_aggregates () =
+  let xs = List.init 32 Fun.id in
+  (* Small boxed values so the allocation lands in the minor heap of
+     whichever domain runs the item. *)
+  let f x = List.fold_left (fun acc (a, b) -> acc + a + b) 0 (List.init 64 (fun i -> (x, i))) in
+  let plain = Pool.map ~jobs:2 f xs in
+  let via_gc, gc = Pool.map_gc ~jobs:2 f xs in
+  check "map_gc returns the same results" true (plain = via_gc);
+  check "worker-domain allocation is counted" true (gc.Pool.minor_words > 0.);
+  check "promoted words are non-negative" true (gc.Pool.promoted_words >= 0.)
+
 (* {1 Job construction & defaults} *)
 
 let test_job_defaults () =
@@ -219,6 +230,58 @@ let test_defaults_jobs_env () =
   check_int "explorer seeds 1..20" 20 (List.length Defaults.explorer_seeds);
   check_int "first explorer seed" 1 (List.hd Defaults.explorer_seeds)
 
+(* Run [f] with [var] set to [value], restoring whatever the caller's
+   environment held: CI sweeps the whole suite under KARD_VKEYS and
+   KARD_SAMPLING, so a test must not leave them cleared. *)
+let with_env var value f =
+  let saved = Option.value (Sys.getenv_opt var) ~default:"" in
+  Unix.putenv var value;
+  Fun.protect ~finally:(fun () -> Unix.putenv var saved) f
+
+let test_defaults_env_overrides () =
+  let fallback = Domain.recommended_domain_count () in
+  with_env Defaults.jobs_env "3" (fun () -> check_int "KARD_JOBS=3" 3 (Defaults.jobs ()));
+  with_env Defaults.jobs_env " 2 " (fun () -> check_int "whitespace tolerated" 2 (Defaults.jobs ()));
+  with_env Defaults.jobs_env "0" (fun () -> check_int "zero jobs ignored" fallback (Defaults.jobs ()));
+  with_env Defaults.jobs_env "many" (fun () -> check_int "junk jobs ignored" fallback (Defaults.jobs ()));
+  with_env Defaults.vkeys_env "192" (fun () -> check_int "KARD_VKEYS=192" 192 (Defaults.vkeys ()));
+  with_env Defaults.vkeys_env "0" (fun () -> check_int "zero vkeys is identity" 0 (Defaults.vkeys ()));
+  with_env Defaults.vkeys_env "-4" (fun () -> check_int "negative vkeys ignored" 0 (Defaults.vkeys ()));
+  with_env Defaults.vkeys_env "lots" (fun () -> check_int "junk vkeys ignored" 0 (Defaults.vkeys ()));
+  let check_rate msg want got = Alcotest.(check (float 0.)) msg want got in
+  with_env Defaults.sampling_env "0.25" (fun () ->
+      check_rate "KARD_SAMPLING=0.25" 0.25 (Defaults.sampling ()));
+  with_env Defaults.sampling_env "0" (fun () -> check_rate "zero rate ignored" 1.0 (Defaults.sampling ()));
+  with_env Defaults.sampling_env "1.5" (fun () ->
+      check_rate "rate above 1 ignored, not clamped" 1.0 (Defaults.sampling ()));
+  with_env Defaults.sampling_env "half" (fun () -> check_rate "junk rate ignored" 1.0 (Defaults.sampling ()));
+  with_env Defaults.vkeys_env "64" (fun () ->
+      with_env Defaults.sampling_env "0.5" (fun () ->
+          let c = Defaults.kard_config () in
+          check_int "kard_config takes vkeys" 64 c.Kard_core.Config.vkeys;
+          check_rate "kard_config takes sampling" 0.5 c.Kard_core.Config.sampling))
+
+(* perfbench still passes [~shards:1] to these entry points; the
+   parameter must accept exactly that value. *)
+let test_shard_parameter_pinned () =
+  let rejects msg f =
+    check msg true (match f () with _ -> false | exception Invalid_argument _ -> true)
+  in
+  let run shards =
+    Runner.run_build ~shards ~threads:1 ~scale:1.0 ~seed:1 ~detector:Runner.Baseline
+      (fun _ -> ()) "empty"
+  in
+  check "run_build accepts shards 1" true ((run 1).Runner.seed = 1);
+  rejects "run_build rejects shards 2" (fun () -> run 2);
+  rejects "run_build rejects shards 0" (fun () -> run 0);
+  let header shards =
+    Kard_harness.Record.header ~detector:Runner.Baseline ~target:"empty" ~threads:1 ~scale:1.0
+      ~seed:1 ~shards
+  in
+  check_int "header records shards 1" 1 (header 1).Kard_replay.Log.shards;
+  rejects "header rejects shards 4" (fun () -> header 4);
+  check "shards env name" true (Defaults.shards_env = "KARD_SHARDS")
+
 let () =
   Alcotest.run "pool"
     [ ( "pool",
@@ -228,7 +291,8 @@ let () =
           Alcotest.test_case "chunks" `Quick test_chunks;
           Alcotest.test_case "jobs=1 runs inline" `Quick test_jobs1_runs_inline;
           Alcotest.test_case "jobs=1 error semantics" `Quick test_jobs1_error_semantics;
-          Alcotest.test_case "crash reports smallest index" `Quick test_crash_smallest_index ] );
+          Alcotest.test_case "crash reports smallest index" `Quick test_crash_smallest_index;
+          Alcotest.test_case "map_gc aggregation" `Quick test_map_gc_aggregates ] );
       ( "isolation",
         [ Alcotest.test_case "concurrent identical jobs" `Slow test_concurrent_identical_jobs ] );
       ( "oracle",
@@ -240,4 +304,6 @@ let () =
       ( "job",
         [ Alcotest.test_case "defaults" `Slow test_job_defaults;
           Alcotest.test_case "describe" `Quick test_job_describe;
-          Alcotest.test_case "defaults module" `Quick test_defaults_jobs_env ] ) ]
+          Alcotest.test_case "defaults module" `Quick test_defaults_jobs_env;
+          Alcotest.test_case "environment overrides" `Quick test_defaults_env_overrides;
+          Alcotest.test_case "shard parameter pinned to 1" `Quick test_shard_parameter_pinned ] ) ]

@@ -1,8 +1,9 @@
 (* The record/replay subsystem: codec round-trips and strict
-   rejection, target resolution, record->replay byte-identity across
-   shard/vkey/sampling settings, cross-detector replay, fidelity
-   tamper detection, the bytes-per-step budget, and the checked-in
-   fuzz-log regression fixture. *)
+   rejection (syntax and header ranges), target resolution,
+   record->replay byte-identity across vkey/sampling settings,
+   cross-detector replay, fidelity tamper detection, the
+   bytes-per-step budget, and the checked-in fuzz-log regression
+   fixture with every single-byte corruption of it. *)
 
 module Log = Kard_replay.Log
 module Record = Kard_harness.Record
@@ -24,7 +25,9 @@ let check_int = Alcotest.(check int)
 (* Random but well-formed logs: picks straddle the one-byte/extended
    boundary at 240 threads, anchors are monotone in both coordinates
    (the encoder's invariant), seeds may be negative (zigzag), and the
-   optional config exercises every fingerprint field. *)
+   optional config exercises every fingerprint field.  Some headers
+   fall outside the ranges the decoder checks (data keys above 13, a
+   zero sampling rate or scale); see {!header_in_range}. *)
 let gen_log st =
   let detector =
     List.nth [ "kard"; "baseline"; "alloc"; "tsan"; "lockset" ] (Random.State.int st 5)
@@ -44,7 +47,7 @@ let gen_log st =
     { Log.detector;
       target = Printf.sprintf "spec:w%d" (Random.State.int st 50);
       threads = 1 + Random.State.int st 600;
-      scale = Random.State.float st 1.0;
+      scale = (if Random.State.int st 20 = 0 then 0.0 else 1.0 -. Random.State.float st 1.0);
       seed = Random.State.int st 2_000_000 - 1_000_000;
       shards = 1 + Random.State.int st 8;
       config }
@@ -69,10 +72,19 @@ let print_log (l : Log.t) =
   Format.asprintf "%a; %d events (%d picks, %d grants)" Log.pp_header l.Log.header
     (List.length l.Log.events) (Log.pick_count l) (Log.grant_count l)
 
+(* What [Log.decode] accepts beyond syntax, stated independently of
+   it for the generated fields. *)
+let header_in_range (h : Log.header) =
+  h.Log.scale > 0.0 && h.Log.scale <= 1.0
+  && match h.Log.config with None -> true | Some c -> Config.validate c = Ok ()
+
 let codec_roundtrip =
-  QCheck.Test.make ~name:"decode (encode log) = log" ~count:300
+  QCheck.Test.make ~name:"decode (encode log) = log, or Corrupt out of range" ~count:300
     (QCheck.make ~print:print_log gen_log)
-    (fun log -> Log.decode (Log.encode log) = log)
+    (fun log ->
+      match Log.decode (Log.encode log) with
+      | decoded -> header_in_range log.Log.header && decoded = log
+      | exception Log.Error (Log.Corrupt _) -> not (header_in_range log.Log.header))
 
 (* {1 Codec: strict rejection} *)
 
@@ -113,6 +125,32 @@ let test_truncation_rejected () =
     | (_ : Log.t) -> Alcotest.failf "prefix of %d/%d bytes decoded" k (String.length s)
     | exception Log.Error _ -> ()
   done
+
+(* Syntax is not enough: a header whose fields are out of range must
+   fail to decode, not fail later inside a constructor. *)
+let test_header_ranges_rejected () =
+  let kard = Defaults.kard_config () in
+  let with_header name h =
+    expect_error name (Log.encode { minimal_log with Log.header = h })
+      (function Log.Corrupt _ -> true | _ -> false)
+  in
+  let h = minimal_log.Log.header in
+  with_header "zero threads" { h with Log.threads = 0 };
+  with_header "too many threads" { h with Log.threads = Log.max_threads + 1 };
+  with_header "zero scale" { h with Log.scale = 0.0 };
+  with_header "scale above 1" { h with Log.scale = 2.0 };
+  with_header "NaN scale" { h with Log.scale = Float.nan };
+  with_header "zero shards" { h with Log.shards = 0 };
+  let config name c = with_header name { h with Log.detector = "kard"; config = Some c } in
+  config "data keys above 13" { kard with Config.data_keys = 14 };
+  config "zero data keys" { kard with Config.data_keys = 0 };
+  config "vkeys above the pool limit" { kard with Config.vkeys = Config.max_vkeys + 1 };
+  config "zero sampling rate" { kard with Config.sampling = 0.0 };
+  config "sampling above 1" { kard with Config.sampling = 1.5 };
+  config "exit delay above the limit"
+    { kard with Config.exit_delay_cycles = Config.max_exit_delay_cycles + 1 };
+  check "an in-range header still decodes" true
+    (Log.decode (Log.encode minimal_log) = minimal_log)
 
 let test_trailing_bytes_rejected () =
   expect_error "trailing byte" (Log.encode minimal_log ^ "\x00")
@@ -167,29 +205,26 @@ let test_race_suite_roundtrip () =
           (Json_report.of_result replayed = Json_report.of_result plain))
     Race_suite.all
 
-(* The key-pressure workload across the settings matrix: two shard
-   counts (recorded at one, replayed at the other), two vkey pool
-   sizes and two sampling rates.  Each cell must replay to the
+(* The key-pressure workload across the settings matrix: two vkey
+   pool sizes and two sampling rates.  Each cell must replay to the
    identical result and JSON report. *)
 let test_spec_settings_matrix () =
   let spec = Registry.find "keys-10k" in
   let base = Defaults.kard_config () in
   List.iter
-    (fun (rec_shards, rep_shards, vkeys, sampling) ->
-      let name = Printf.sprintf "shards %d->%d vkeys %d sampling %g" rec_shards rep_shards vkeys sampling in
+    (fun (vkeys, sampling) ->
+      let name = Printf.sprintf "vkeys %d sampling %g" vkeys sampling in
       let config = { base with Config.vkeys; sampling; sampling_epoch = 100_000 } in
       let detector = Runner.Kard config in
-      let r, log =
-        Record.record ~scale:0.01 ~shards:rec_shards ~detector (Record.Spec spec)
-      in
-      match Record.replay ~shards:rep_shards (Log.decode (Log.encode log)) with
+      let r, log = Record.record ~scale:0.01 ~detector (Record.Spec spec) in
+      match Record.replay (Log.decode (Log.encode log)) with
       | Error e -> Alcotest.failf "%s: replay failed: %s" name e
       | Ok (replayed, fidelity) ->
         check (name ^ ": tape consumed") true (fidelity = Ok ());
         check (name ^ ": results identical") true (replayed = r);
         check (name ^ ": JSON identical") true
           (Json_report.of_result replayed = Json_report.of_result r))
-    [ (1, 2, 0, 1.0); (2, 1, 64, 1.0); (1, 2, 64, 0.5); (2, 1, 0, 0.5) ]
+    [ (0, 1.0); (64, 1.0); (64, 0.5); (0, 0.5) ]
 
 (* Zero simulated cost on a workload spec, and the wire budget from
    DESIGN.md section 13: one byte per pick below 240 threads, at most
@@ -208,6 +243,23 @@ let test_spec_zero_cost_and_budget () =
     (bytes <= 300 + picks + (7 * grants) + (21 * ((grants / 64) + 1)));
   check "under two bytes per step" true
     (float_of_int bytes /. float_of_int picks < 2.0)
+
+(* The 64-thread lock convoy, where waiter dilation is settled per
+   lock: a strict replay of the recorded schedule reproduces every
+   per-thread cycle count. *)
+let test_convoy_roundtrip () =
+  let detector = Runner.Kard Config.default in
+  let r, log =
+    Record.record ~threads:16 ~scale:0.02 ~seed:7 ~detector
+      (Record.Spec Kard_workloads.Contended.convoy)
+  in
+  check "convoy contends" true (r.Runner.report.Machine.contended_entries > 0);
+  match Record.replay (Log.decode (Log.encode log)) with
+  | Error e -> Alcotest.failf "convoy replay failed: %s" e
+  | Ok (replayed, fidelity) ->
+    check "tape consumed" true (fidelity = Ok ());
+    check "report identical" true (replayed.Runner.report = r.Runner.report);
+    check "races identical" true (replayed.Runner.kard_races = r.Runner.kard_races)
 
 (* Chrome-trace bytes are part of the identity contract. *)
 let test_trace_identity () =
@@ -344,11 +396,61 @@ let test_fixture_replays () =
     | Ok (_, fidelity) ->
       check "fixture tape consumed" true (fidelity = Ok ()))
 
-let test_fixture_reencodes_identically () =
+let read_fixture () =
   let ic = open_in_bin fixture in
   let raw = really_input_string ic (in_channel_length ic) in
   close_in ic;
+  raw
+
+let test_fixture_reencodes_identically () =
+  let raw = read_fixture () in
   check "encode (decode bytes) = bytes" true (Log.encode (Log.decode raw) = raw)
+
+(* Logs travel between hosts, so a corrupt one is ordinary input.
+   Every single-byte change of the fixture must either decode and
+   replay (to a fidelity verdict, whatever it is) or fail with a typed
+   error — never raise from inside the run. *)
+let test_fixture_mutations_never_raise () =
+  let raw = read_fixture () in
+  let programs = Hashtbl.create 8 in
+  let replay (log : Log.t) =
+    match Campaign.of_target log.Log.header.Log.target with
+    | None -> Record.replay log
+    | Some (seed, index) ->
+      let r =
+        match Hashtbl.find_opt programs (seed, index) with
+        | Some r -> r
+        | None ->
+          let r = Campaign.reconstruct ~seed index in
+          Hashtbl.add programs (seed, index) r;
+          r
+      in
+      let build machine =
+        ignore (Prog.spawn_all r.Campaign.rp_prog ~machine ~on_event:ignore : Prog.run_ctx)
+      in
+      Record.replay_build log build "fuzz"
+  in
+  let decoded = ref 0 and rejected = ref 0 in
+  String.iteri
+    (fun pos byte ->
+      for delta = 1 to 255 do
+        let mutated = Bytes.of_string raw in
+        Bytes.set mutated pos (Char.chr ((Char.code byte + delta) land 0xFF));
+        match Log.decode (Bytes.to_string mutated) with
+        | exception Log.Error _ -> incr rejected
+        | log -> (
+          incr decoded;
+          match replay log with
+          | Ok _ | Error _ -> ()
+          | exception e ->
+            Alcotest.failf "byte %d set to 0x%02X: replay raised %s" pos
+              ((Char.code byte + delta) land 0xFF)
+              (Printexc.to_string e))
+      done)
+    raw;
+  check_int "every mutation accounted for" (String.length raw * 255) (!decoded + !rejected);
+  check "some mutations still decode and replay" true (!decoded > 0);
+  check "some mutations are rejected" true (!rejected > 0)
 
 let () =
   Alcotest.run "replay"
@@ -358,6 +460,7 @@ let () =
           Alcotest.test_case "version mismatch rejected" `Quick test_version_mismatch;
           Alcotest.test_case "every truncation rejected" `Quick test_truncation_rejected;
           Alcotest.test_case "trailing bytes rejected" `Quick test_trailing_bytes_rejected;
+          Alcotest.test_case "header ranges rejected" `Quick test_header_ranges_rejected;
           Alcotest.test_case "non-canonical pick rejected" `Quick
             test_non_canonical_pick_rejected ] );
       ( "targets",
@@ -367,6 +470,7 @@ let () =
           Alcotest.test_case "keys-10k settings matrix" `Quick test_spec_settings_matrix;
           Alcotest.test_case "zero cost and wire budget" `Quick
             test_spec_zero_cost_and_budget;
+          Alcotest.test_case "convoy round-trips" `Quick test_convoy_roundtrip;
           Alcotest.test_case "Chrome trace bytes" `Quick test_trace_identity ] );
       ( "cross-detector",
         [ Alcotest.test_case "record sampled, replay full" `Quick test_cross_detector ] );
@@ -377,4 +481,6 @@ let () =
       ( "fixture",
         [ Alcotest.test_case "fuzz-42-43.rlog replays" `Quick test_fixture_replays;
           Alcotest.test_case "fixture bytes re-encode identically" `Quick
-            test_fixture_reencodes_identically ] ) ]
+            test_fixture_reencodes_identically;
+          Alcotest.test_case "every single-byte mutation replays or is rejected" `Slow
+            test_fixture_mutations_never_raise ] ) ]

@@ -366,36 +366,45 @@ let test_machine_max_steps () =
 
 (* {1 Schedule policies and replay} *)
 
+(* The machine keeps no pick tape; tests capture picks through the
+   [on_pick] hook, the way the record/replay layer does. *)
+let capture_picks picks (h : Hooks.t) =
+  { h with Hooks.on_pick = (fun ~tid -> picks := tid :: !picks; h.Hooks.on_pick ~tid) }
+
 let two_thread_machine ?seed ?schedule () =
+  let picks = ref [] in
   let m = Machine.create ?seed ?schedule ~allocator:Machine.Native
-      ~make_detector:(fun _ -> Hooks.null ~name:"test") ()
+      ~make_detector:(fun _ -> capture_picks picks (Hooks.null ~name:"test")) ()
   in
   let (_ : int) = Machine.spawn m (Program.of_list [ Op.Compute 1; Op.Compute 2; Op.Compute 3 ]) in
   let (_ : int) = Machine.spawn m (Program.of_list [ Op.Compute 10; Op.Compute 20 ]) in
-  Machine.run m
+  let report = Machine.run m in
+  (report, Array.of_list (List.rev !picks))
 
 let test_schedule_replay_exact () =
-  let original = two_thread_machine ~seed:9 () in
-  let replayed =
-    two_thread_machine ~schedule:(Kard_sched.Schedule.Replay original.Machine.schedule_trace) ()
+  let original, tape = two_thread_machine ~seed:9 () in
+  let replayed, replayed_tape =
+    two_thread_machine ~schedule:(Kard_sched.Schedule.Replay tape) ()
   in
-  check "same trace" true (original.Machine.schedule_trace = replayed.Machine.schedule_trace);
+  check "same trace" true (tape = replayed_tape);
   check_int "same cycles" original.Machine.cycles replayed.Machine.cycles
 
 let test_schedule_round_robin () =
-  let a = two_thread_machine ~schedule:Kard_sched.Schedule.Round_robin () in
-  let b = two_thread_machine ~schedule:Kard_sched.Schedule.Round_robin () in
-  check "deterministic" true (a.Machine.schedule_trace = b.Machine.schedule_trace);
+  let _, a = two_thread_machine ~schedule:Kard_sched.Schedule.Round_robin () in
+  let _, b = two_thread_machine ~schedule:Kard_sched.Schedule.Round_robin () in
+  check "deterministic" true (a = b);
   (* Strict alternation while both threads are runnable. *)
   check "alternates" true
-    (match Array.to_list a.Machine.schedule_trace with
+    (match Array.to_list a with
     | 0 :: 1 :: 0 :: 1 :: _ -> true
     | _ -> false)
 
 let test_schedule_replay_short_tape () =
   (* A truncated tape falls back to round-robin rather than failing. *)
-  let r = two_thread_machine ~schedule:(Kard_sched.Schedule.Replay [| 1; 1 |]) () in
-  check "run completes" true (r.Machine.cycles > 0)
+  let r, picks = two_thread_machine ~schedule:(Kard_sched.Schedule.Replay [| 1; 1 |]) () in
+  check "run completes" true (r.Machine.cycles > 0);
+  check "tape followed, then round-robin" true
+    (Array.to_list picks = [ 1; 1; 0; 1; 0; 0; 0 ])
 
 let runnable_of_list tids =
   let set = Kard_sched.Runnable_set.create () in
@@ -408,20 +417,22 @@ let test_schedule_pick_unit () =
   check_int "replays 2" 2 (Kard_sched.Schedule.pick st ~runnable);
   check_int "replays 0" 0 (Kard_sched.Schedule.pick st ~runnable);
   (* Tape exhausted: round-robin continues after the last pick. *)
-  check_int "falls back after tape" 1 (Kard_sched.Schedule.pick st ~runnable);
-  check "recorded everything" true (Kard_sched.Schedule.recorded st = [| 2; 0; 1 |])
+  check_int "falls back after tape" 1 (Kard_sched.Schedule.pick st ~runnable)
 
 (* Replay determinism over a genuinely contended, faulting workload:
    the safety net for the scheduler/TLB refactors.  A full Kard run is
    recorded under [Random] and re-executed under [Replay]; every field
    of the report — total and per-thread cycles, faults, hardware
-   counters, RSS, schedule trace — must be bit-identical. *)
+   counters, RSS — and the pick sequence must be bit-identical. *)
 let contended_kard_report ?schedule ~seed () =
   let cell = ref None in
+  let picks = ref [] in
   let m =
     Machine.create ?schedule ~seed
       ~allocator:(Machine.Unique_page { granule = 32; recycle_virtual_pages = false })
-      ~make_detector:(Kard_core.Detector.make ~config:Kard_core.Config.default ~cell)
+      ~make_detector:(fun env ->
+        capture_picks picks
+          (Kard_core.Detector.make ~config:Kard_core.Config.default ~cell env))
       ()
   in
   let profile =
@@ -439,30 +450,126 @@ let contended_kard_report ?schedule ~seed () =
       mode = Kard_workloads.Synth.Striped }
   in
   Kard_workloads.Synth.build profile ~threads:8 ~scale:1.0 ~seed:5 m;
-  Machine.run m
+  let report = Machine.run m in
+  (report, Array.of_list (List.rev !picks))
 
 let test_replay_full_report_identical () =
-  let original = contended_kard_report ~seed:11 () in
+  let original, tape = contended_kard_report ~seed:11 () in
   (* The workload must actually exercise the refactored paths. *)
   check "workload contends" true (original.Machine.contended_entries > 0);
   check "workload faults" true (original.Machine.faults > 0);
   check "multi-threaded" true (Array.length original.Machine.per_thread_cycles = 8);
-  let replayed =
-    contended_kard_report
-      ~schedule:(Kard_sched.Schedule.Replay original.Machine.schedule_trace)
-      ~seed:11 ()
+  let replayed, replayed_tape =
+    contended_kard_report ~schedule:(Kard_sched.Schedule.Replay tape) ~seed:11 ()
   in
   check "full report is bit-identical" true (original = replayed);
+  check "pick sequence is identical" true (tape = replayed_tape);
   (* Same workload, different seed: must diverge (the test would be
      vacuous if the report ignored the schedule). *)
-  let other = contended_kard_report ~seed:12 () in
-  check "different schedule differs" true
-    (other.Machine.schedule_trace <> original.Machine.schedule_trace)
+  let _, other_tape = contended_kard_report ~seed:12 () in
+  check "different schedule differs" true (other_tape <> tape)
 
 let test_random_seed_determinism_full_report () =
   let a = contended_kard_report ~seed:3 () in
   let b = contended_kard_report ~seed:3 () in
   check "same seed, same full report" true (a = b)
+
+(* {1 Waiter dilation} *)
+
+(* Locks, unlocks and the null detector cost nothing here, so every
+   cycle in a report is either compute or dilation. *)
+let free_locks =
+  { Kard_mpk.Cost_model.default with
+    Kard_mpk.Cost_model.lock_uncontended = 0;
+    lock_contended = 0;
+    unlock = 0 }
+
+(* Run [programs] under an exact pick [tape], recording the virtual
+   clock at every pick; fails if the machine left the tape. *)
+let run_tape programs tape =
+  let picks = ref [] and clocks = ref [] in
+  let m =
+    Machine.create ~cost:free_locks ~schedule:(Kard_sched.Schedule.Replay tape)
+      ~allocator:Machine.Native
+      ~make_detector:(fun env ->
+        capture_picks picks
+          { (Hooks.null ~name:"test") with
+            Hooks.on_pick = (fun ~tid:_ -> clocks := env.Hooks.now () :: !clocks) })
+      ()
+  in
+  List.iter (fun ops -> ignore (Machine.spawn m (Program.of_list ops) : int)) programs;
+  let report = Machine.run m in
+  check "schedule followed the tape" true (Array.of_list (List.rev !picks) = tape);
+  (report, Array.of_list (List.rev !clocks))
+
+let lock l = Op.Lock { lock = l; site = l }
+let unlock l = Op.Unlock { lock = l }
+
+(* A holds L1 and L2; B waits on L1, C on L2; A computes 100.  B and C
+   each gain 100 and the clock gains 300: 100 for A, 100 per waiter. *)
+let test_dilation_nested_locks () =
+  let a = [ lock 1; lock 2; Op.Compute 100; unlock 2; unlock 1 ] in
+  let b = [ lock 1; unlock 1 ] in
+  let c = [ lock 2; unlock 2 ] in
+  let tape = [| 0; 0; 1; 2; 0; 0; 0; 0; 1; 1; 2; 2 |] in
+  let r, clocks = run_tape [ a; b; c ] tape in
+  check_int "the compute step advances the clock by 300" 300 (clocks.(5) - clocks.(4));
+  check "each waiter gains 100" true (r.Machine.per_thread_cycles = [| 100; 100; 100 |]);
+  check_int "total" 300 r.Machine.cycles;
+  check_int "wall" 100 r.Machine.wall_cycles
+
+(* B waits on L1 behind A, is granted it, computes while D waits
+   behind it, then re-blocks on L2 behind C.  Each wait is settled
+   against its own lock: B gains A's 100 and C's later 7, but not
+   C's earlier 40 (nobody waited on L2 then) and not its own 20; D
+   gains A's 100 and B's 20. *)
+let test_dilation_settled_per_lock () =
+  let a = [ lock 1; Op.Compute 100; unlock 1 ] in
+  let b = [ lock 1; Op.Compute 20; unlock 1; lock 2; unlock 2 ] in
+  let c = [ lock 2; Op.Compute 40; Op.Compute 7; unlock 2 ] in
+  let d = [ lock 1; unlock 1 ] in
+  let tape = [| 0; 1; 3; 2; 0; 2; 0; 0; 1; 1; 1; 3; 3; 2; 2; 2; 1; 1 |] in
+  let r, _ = run_tape [ a; b; c; d ] tape in
+  check "per-thread cycles" true (r.Machine.per_thread_cycles = [| 100; 127; 47; 120 |]);
+  check_int "the clock is the sum" 394 r.Machine.cycles;
+  check_int "wall" 127 r.Machine.wall_cycles
+
+(* Digests of [per_thread_cycles] and [wall_cycles], computed with
+   the eager per-waiter charging this machine replaced: settling per
+   lock must not move a single thread's cycles. *)
+let dilation_golden =
+  (* workload, thread override, vkey pool, seed, wall_cycles, digest *)
+  [ ("convoy", None, 0, 1, 256293, "9b8658808c106e2c679f44ef21d9853c");
+    ("convoy", None, 0, 2, 237193, "0de6e441c717b93f3d5b7bb46633d98f");
+    ("convoy", None, 0, 3, 237901, "cab798da6387a61e736007e194f070f0");
+    ("memcached", Some 8, 0, 1, 43289327, "07d8b9d2a1db0a8d57bff97613508f7e");
+    ("memcached", Some 8, 0, 2, 43262800, "652d50a52db3ac3b679023bd352bddb5");
+    ("memcached", Some 8, 0, 3, 43241625, "b7483b076c6d6784e54d83bdcc734fae");
+    ("keys-10k", None, 192, 1, 42827910, "857b94082cebe4fa02d9e843cf9dd6c9");
+    ("keys-10k", None, 192, 2, 42070345, "4295191f3ef5c3a1957ab9300778ccf6");
+    ("keys-10k", None, 192, 3, 41442868, "b4ddcd6b8a2d3646e5e55d90c8f430ad");
+    ("aget", Some 16, 0, 1, 2557039, "59950a5437bba68ce8def6acc592c8e3");
+    ("aget", Some 16, 0, 2, 2619928, "188090c2f4ea519afd0f3fc0a1808ec4");
+    ("aget", Some 16, 0, 3, 2621896, "199ba093fc60cb006b1f0c01b3d7ebc7") ]
+
+let test_dilation_golden () =
+  List.iter
+    (fun (name, threads, vkeys, seed, wall, digest) ->
+      let config = { Kard_core.Config.default with Kard_core.Config.vkeys } in
+      let r =
+        Kard_harness.Runner.run ?threads ~seed ~detector:(Kard_harness.Runner.Kard config)
+          (Kard_workloads.Registry.find name)
+      in
+      let rep = r.Kard_harness.Runner.report in
+      let label = Printf.sprintf "%s seed %d" name seed in
+      check_int (label ^ " wall") wall rep.Machine.wall_cycles;
+      Alcotest.(check string)
+        (label ^ " per-thread digest") digest
+        (Digest.to_hex
+           (Digest.string
+              (String.concat "," (List.map string_of_int (Array.to_list rep.Machine.per_thread_cycles))
+              ^ ";" ^ string_of_int rep.Machine.wall_cycles))))
+    dilation_golden
 
 let test_sim_clock () =
   let c = Sim_clock.create () in
@@ -512,4 +619,10 @@ let () =
           Alcotest.test_case "replay full report (contended, faulting)" `Quick
             test_replay_full_report_identical;
           Alcotest.test_case "seeded full-report determinism" `Quick
-            test_random_seed_determinism_full_report ] ) ]
+            test_random_seed_determinism_full_report ] );
+      ( "dilation",
+        [ Alcotest.test_case "nested locks, hand-computed" `Quick test_dilation_nested_locks;
+          Alcotest.test_case "re-blocking waiter settled per lock" `Quick
+            test_dilation_settled_per_lock;
+          Alcotest.test_case "per-thread cycles match eager charging" `Quick
+            test_dilation_golden ] ) ]
