@@ -7,12 +7,9 @@
      trace <workload>          run with tracing; export a Chrome/Perfetto trace
      record <target>           run with the nondeterminism recorder on; write a replay log
      replay <file>             re-execute a recorded log, verifying fidelity against the tape
-     bench                     tracked benchmarks: throughput (Defaults.throughput_out),
-                               --only keys, the key-pressure precision sweep (Defaults.keys_out),
-                               --only sampling, the sampling sweep (Defaults.sampling_out),
-                               or --only record, recording overhead (Defaults.record_out)
-     serve-sweep               open-loop serving latency/goodput sweep (writes Defaults.serve_out)
-     repro <experiment>        regenerate a paper table/figure
+     serve-sweep               open-loop serving latency/goodput sweep (-o writes its JSON)
+     repro <experiment>        run one experiment of the evaluation (--out writes the
+                               keys/sampling sweep's JSON)
      fuzz                      differential fuzzing campaign over random programs
 *)
 
@@ -97,9 +94,20 @@ let with_sampling sampling detector =
   | Some r, Runner.Kard c -> Runner.Kard { c with Kard_core.Config.sampling = r }
   | _, d -> d
 
-let threads_conv =
+let positive_int what =
   checked Arg.int (fun n ->
-      if n >= 1 then Ok () else Error (Printf.sprintf "thread count must be >= 1 (got %d)" n))
+      if n >= 1 then Ok () else Error (Printf.sprintf "%s must be >= 1 (got %d)" what n))
+
+(* A scenario normally runs under its own configuration; --vkeys and
+   --sampling override just those knobs on top of it. *)
+let scenario_override vkeys sampling scenario =
+  if vkeys = None && sampling = None then None
+  else
+    let c = scenario.Race_suite.config in
+    let c = match vkeys with Some n -> { c with Kard_core.Config.vkeys = n } | None -> c in
+    Some (match sampling with Some r -> { c with Kard_core.Config.sampling = r } | None -> c)
+
+let threads_conv = positive_int "thread count"
 
 let threads_arg =
   Arg.(value & opt (some threads_conv) None
@@ -113,6 +121,26 @@ let scale_conv =
 let scale_arg =
   Arg.(value & opt scale_conv Defaults.scale
        & info [ "scale" ] ~docv:"F" ~doc:"Workload scale factor (0,1].")
+
+(* Names resolve in the converter, so an unknown one is a usage error
+   like any other bad flag value. *)
+let named_conv what find name_of =
+  let parse name =
+    match find name with
+    | v -> Ok v
+    | exception Not_found -> Error (`Msg (Printf.sprintf "unknown %s %S; try `kard list`" what name))
+  in
+  Arg.conv (parse, fun fmt v -> Format.pp_print_string fmt (name_of v))
+
+let workload_arg =
+  Arg.(required
+       & pos 0 (some (named_conv "workload" Registry.find (fun s -> s.Spec.name))) None
+       & info [] ~docv:"WORKLOAD" ~doc:"Workload name.")
+
+let scenario_arg =
+  Arg.(required
+       & pos 0 (some (named_conv "scenario" Race_suite.find (fun s -> s.Race_suite.name))) None
+       & info [] ~docv:"SCENARIO" ~doc:"Scenario name.")
 
 let seed_arg =
   Arg.(value & opt int Defaults.seed & info [ "seed" ] ~docv:"SEED" ~doc:"Scheduler seed.")
@@ -146,7 +174,7 @@ let list_cmd =
       (fun spec ->
         Printf.printf "  %-28s %s\n" spec.Spec.name spec.Spec.description)
       Registry.contention;
-    Printf.printf "\nKey-pressure workloads (object-scale precision; see `kard bench --only keys`):\n";
+    Printf.printf "\nKey-pressure workloads (object-scale precision; see `kard repro keys`):\n";
     List.iter
       (fun spec ->
         Printf.printf "  %-28s %s\n" spec.Spec.name spec.Spec.description)
@@ -218,78 +246,47 @@ let json_arg =
   Arg.(value & flag & info [ "json" ] ~doc:"Emit a machine-readable JSON report.")
 
 let run_cmd =
-  let name_arg =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"WORKLOAD" ~doc:"Workload name.")
-  in
   let seeds_arg =
     Arg.(value & opt (some (list int)) None
          & info [ "seeds" ] ~docv:"S,S,..."
              ~doc:"Run one job per seed (reported in seed-list order) instead of --seed alone.")
   in
-  let action name detector vkeys sampling threads scale seed seeds jobs json =
-    match Registry.find name with
-    | spec ->
-      let detector = with_sampling sampling (with_vkeys vkeys detector) in
-      let seeds = Option.value ~default:[ seed ] seeds in
-      let results =
-        Pool.run_jobs ?jobs
-          (List.map (fun seed -> Job.spec ?threads ~scale ~seed detector spec) seeds)
-      in
-      if json then
-        List.iter
-          (fun result ->
-            print_endline
-              (Kard_harness.Json_report.pretty (Kard_harness.Json_report.of_result result)))
-          results
-      else
-        List.iteri
-          (fun i result ->
-            if i > 0 then print_newline ();
-            print_result result)
-          results
-    | exception Not_found -> Printf.eprintf "unknown workload %S; try `kard list`\n" name
+  let action spec detector vkeys sampling threads scale seed seeds jobs json =
+    let detector = with_sampling sampling (with_vkeys vkeys detector) in
+    let seeds = Option.value ~default:[ seed ] seeds in
+    let results =
+      Pool.run_jobs ?jobs
+        (List.map (fun seed -> Job.spec ?threads ~scale ~seed detector spec) seeds)
+    in
+    if json then
+      List.iter
+        (fun result ->
+          print_endline
+            (Kard_harness.Json_report.pretty (Kard_harness.Json_report.of_result result)))
+        results
+    else
+      List.iteri
+        (fun i result ->
+          if i > 0 then print_newline ();
+          print_result result)
+        results
   in
   Cmd.v (Cmd.info "run" ~doc:"Run one workload under one detector")
-    Term.(const action $ name_arg $ detector_arg $ vkeys_arg $ sampling_arg $ threads_arg
+    Term.(const action $ workload_arg $ detector_arg $ vkeys_arg $ sampling_arg $ threads_arg
           $ scale_arg $ seed_arg $ seeds_arg $ jobs_arg $ json_arg)
 
 let scenario_cmd =
-  let name_arg =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"SCENARIO" ~doc:"Scenario name.")
-  in
-  let action name detector vkeys sampling seed =
-    match Race_suite.find name with
-    | scenario ->
-      (* A scenario normally runs under its own configuration; --vkeys
-         and --sampling override just those knobs on top of it. *)
-      let override_config =
-        match (vkeys, sampling) with
-        | None, None -> None
-        | _ ->
-          let c = scenario.Race_suite.config in
-          let c =
-            match vkeys with Some n -> { c with Kard_core.Config.vkeys = n } | None -> c
-          in
-          let c =
-            match sampling with
-            | Some r -> { c with Kard_core.Config.sampling = r }
-            | None -> c
-          in
-          Some c
-      in
-      print_result (Runner.run_scenario ~seed ?override_config ~detector scenario)
-    | exception Not_found -> Printf.eprintf "unknown scenario %S; try `kard list`\n" name
+  let action scenario detector vkeys sampling seed =
+    let override_config = scenario_override vkeys sampling scenario in
+    print_result (Runner.run_scenario ~seed ?override_config ~detector scenario)
   in
   Cmd.v (Cmd.info "scenario" ~doc:"Run one controlled race scenario")
-    Term.(const action $ name_arg $ detector_arg $ vkeys_arg $ sampling_arg $ seed_arg)
+    Term.(const action $ scenario_arg $ detector_arg $ vkeys_arg $ sampling_arg $ seed_arg)
 
 (* trace: run a workload with the observability sink on and export a
    Perfetto-loadable Chrome trace plus the metrics registry. *)
 
 let trace_cmd =
-  let name_arg =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"WORKLOAD" ~doc:"Workload name.")
-  in
   let out_arg =
     Arg.(value & opt string "trace.json"
          & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Chrome trace output path.")
@@ -300,94 +297,84 @@ let trace_cmd =
              ~doc:"Also record every read/write/compute step (fills the ring fast).")
   in
   let capacity_arg =
-    Arg.(value & opt int 65536
+    Arg.(value & opt (positive_int "capacity") 65536
          & info [ "capacity" ] ~docv:"N"
              ~doc:"Event ring capacity; oldest events are dropped beyond it.")
   in
-  let action name detector vkeys sampling threads scale seed out steps capacity =
+  let action spec detector vkeys sampling threads scale seed out steps capacity =
     let detector = with_sampling sampling (with_vkeys vkeys detector) in
-    if capacity <= 0 then Printf.eprintf "trace: --capacity must be positive (got %d)\n" capacity
-    else
-    match Registry.find name with
-    | exception Not_found -> Printf.eprintf "unknown workload %S; try `kard list`\n" name
-    | spec ->
-      let tr = Kard_obs.Trace.create ~capacity ~steps () in
-      let result = Runner.run ~trace:tr ?threads ~scale ~seed ~detector spec in
-      let oc = open_out out in
-      output_string oc (Kard_obs.Chrome_trace.to_json ~t:tr);
-      close_out oc;
-      let r = result.Runner.report in
-      Printf.printf "workload:  %s under %s (threads=%d scale=%g seed=%d)\n" result.Runner.spec_name
-        result.Runner.detector_name result.Runner.threads result.Runner.scale result.Runner.seed;
-      Printf.printf "cycles:    %s   faults: %d   dTLB miss rate: %.5f\n"
-        (Kard_harness.Text_table.fmt_int r.Machine.cycles)
-        r.Machine.faults r.Machine.dtlb_miss_rate;
-      Printf.printf "trace:     %s (load in ui.perfetto.dev or about:tracing)\n\n" out;
-      Kard_harness.Obs_report.print_trace_summary tr;
-      print_newline ();
-      Kard_harness.Obs_report.print_metrics (Kard_obs.Trace.metrics tr)
+    let tr = Kard_obs.Trace.create ~capacity ~steps () in
+    let result = Runner.run ~trace:tr ?threads ~scale ~seed ~detector spec in
+    let oc = open_out out in
+    output_string oc (Kard_obs.Chrome_trace.to_json ~t:tr);
+    close_out oc;
+    let r = result.Runner.report in
+    Printf.printf "workload:  %s under %s (threads=%d scale=%g seed=%d)\n" result.Runner.spec_name
+      result.Runner.detector_name result.Runner.threads result.Runner.scale result.Runner.seed;
+    Printf.printf "cycles:    %s   faults: %d   dTLB miss rate: %.5f\n"
+      (Kard_harness.Text_table.fmt_int r.Machine.cycles)
+      r.Machine.faults r.Machine.dtlb_miss_rate;
+    Printf.printf "trace:     %s (load in ui.perfetto.dev or about:tracing)\n\n" out;
+    Kard_harness.Obs_report.print_trace_summary tr;
+    print_newline ();
+    Kard_harness.Obs_report.print_metrics (Kard_obs.Trace.metrics tr)
   in
   Cmd.v
     (Cmd.info "trace"
        ~doc:"Run a workload with event tracing on; write a Perfetto-loadable Chrome trace")
-    Term.(const action $ name_arg $ detector_arg $ vkeys_arg $ sampling_arg $ threads_arg
+    Term.(const action $ workload_arg $ detector_arg $ vkeys_arg $ sampling_arg $ threads_arg
           $ scale_arg $ seed_arg $ out_arg $ steps_arg $ capacity_arg)
 
 (* hunt: sweep seeds until a schedule manifests a race, then replay
    that exact interleaving to confirm — the race-debugging loop. *)
 
 let hunt_cmd =
-  let name_arg =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"SCENARIO" ~doc:"Scenario name.")
-  in
   let tries_arg =
-    Arg.(value & opt int 50 & info [ "tries" ] ~docv:"N" ~doc:"Seeds to sweep (default 50).")
+    Arg.(value & opt (positive_int "tries") 50
+         & info [ "tries" ] ~docv:"N" ~doc:"Seeds to sweep (default 50).")
   in
-  let action name tries jobs =
-    match Race_suite.find name with
-    | exception Not_found -> Printf.eprintf "unknown scenario %S; try `kard list`\n" name
-    | scenario ->
-      let detector = Runner.Kard scenario.Race_suite.config in
-      (* Sweep one pool-width batch of seeds at a time, scanning each
-         batch in seed order: the reported hit is always the smallest
-         racing seed, exactly as the old serial loop found it. *)
-      let width = Pool.resolve_jobs jobs in
-      let rec sweep = function
-        | [] -> None
-        | batch :: rest ->
-          let results =
-            Pool.run_jobs ?jobs
-              (List.map (fun seed -> Job.scenario ~seed detector scenario) batch)
-          in
-          let hit =
-            List.find_opt
-              (fun (_, r) -> r.Runner.kard_ilu_races <> [])
-              (List.combine batch results)
-          in
-          (match hit with Some _ -> hit | None -> sweep rest)
-      in
-      (match sweep (Pool.chunks width (List.init tries (fun i -> i + 1))) with
-      | None -> Printf.printf "no race manifested in %d schedules\n" tries
-      | Some (seed, found) ->
-        Printf.printf "race manifested at seed %d (%d/%d schedules swept):\n" seed seed tries;
-        List.iter
-          (fun race -> Format.printf "  %a@." Kard_core.Race_record.pp race)
-          found.Runner.kard_ilu_races;
-        (* Record the racing run's nondeterminism, then replay the log
-           strictly: the interleaving must reproduce exactly. *)
-        let _, log = Record.record ~seed ~detector (Record.Scenario scenario) in
-        match Record.replay log with
-        | Ok (replayed, Ok ()) ->
-          let n = List.length replayed.Runner.kard_ilu_races in
-          Printf.printf "replayed the %d-step schedule: %d race(s) reproduced %s\n"
-            (Log.pick_count log) n
-            (if n = List.length found.Runner.kard_ilu_races then "(exact)" else "(differs!)")
-        | Ok (_, Error msg) | Error msg ->
-          Printf.printf "replay of the %d-step schedule diverged:\n%s\n" (Log.pick_count log) msg)
+  let action scenario tries jobs =
+    let detector = Runner.Kard scenario.Race_suite.config in
+    (* Sweep one pool-width batch of seeds at a time, scanning each
+       batch in seed order: the reported hit is always the smallest
+       racing seed, exactly as the old serial loop found it. *)
+    let width = Pool.resolve_jobs jobs in
+    let rec sweep = function
+      | [] -> None
+      | batch :: rest ->
+        let results =
+          Pool.run_jobs ?jobs
+            (List.map (fun seed -> Job.scenario ~seed detector scenario) batch)
+        in
+        let hit =
+          List.find_opt
+            (fun (_, r) -> r.Runner.kard_ilu_races <> [])
+            (List.combine batch results)
+        in
+        (match hit with Some _ -> hit | None -> sweep rest)
+    in
+    (match sweep (Pool.chunks width (List.init tries (fun i -> i + 1))) with
+    | None -> Printf.printf "no race manifested in %d schedules\n" tries
+    | Some (seed, found) ->
+      Printf.printf "race manifested at seed %d (%d/%d schedules swept):\n" seed seed tries;
+      List.iter
+        (fun race -> Format.printf "  %a@." Kard_core.Race_record.pp race)
+        found.Runner.kard_ilu_races;
+      (* Record the racing run's nondeterminism, then replay the log
+         strictly: the interleaving must reproduce exactly. *)
+      let _, log = Record.record ~seed ~detector (Record.Scenario scenario) in
+      match Record.replay log with
+      | Ok (replayed, Ok ()) ->
+        let n = List.length replayed.Runner.kard_ilu_races in
+        Printf.printf "replayed the %d-step schedule: %d race(s) reproduced %s\n"
+          (Log.pick_count log) n
+          (if n = List.length found.Runner.kard_ilu_races then "(exact)" else "(differs!)")
+      | Ok (_, Error msg) | Error msg ->
+        Printf.printf "replay of the %d-step schedule diverged:\n%s\n" (Log.pick_count log) msg)
   in
   Cmd.v
     (Cmd.info "hunt" ~doc:"Sweep schedules for a race, then replay the found interleaving")
-    Term.(const action $ name_arg $ tries_arg $ jobs_arg)
+    Term.(const action $ scenario_arg $ tries_arg $ jobs_arg)
 
 (* record / replay: the nondeterminism-log layer (DESIGN.md §13).
    With --json both commands print only the run's result JSON on
@@ -410,9 +397,23 @@ let print_or_json ~json result =
 let sanitize_target name =
   String.map (function ':' | '/' -> '-' | c -> c) name
 
+(* A target resolves in its converter, like workload names: an unknown
+   one is a usage error.  The original text is kept, since the log
+   header and the default output name are derived from it. *)
+let target_conv =
+  let parse target =
+    match Campaign.of_target target with
+    | Some (cseed, i) -> Ok (target, `Fuzz (cseed, i))
+    | None -> (
+      match Record.find_subject target with
+      | Ok subject -> Ok (target, `Subject subject)
+      | Error msg -> Error (`Msg msg))
+  in
+  Arg.conv (parse, fun fmt (target, _) -> Format.pp_print_string fmt target)
+
 let record_cmd =
   let target_arg =
-    Arg.(required & pos 0 (some string) None
+    Arg.(required & pos 0 (some target_conv) None
          & info [] ~docv:"TARGET"
              ~doc:
                "What to record: a workload name, $(b,scenario:)NAME, or \
@@ -424,15 +425,11 @@ let record_cmd =
          & info [ "o"; "out"; "output" ] ~docv:"FILE"
              ~doc:"Replay-log output path (default: $(docv) derived from the target name).")
   in
-  let action target detector vkeys sampling threads scale seed out json =
-    let fail msg =
-      Printf.eprintf "record: %s\n" msg;
-      exit 2
-    in
+  let action (target, resolved) detector vkeys sampling threads scale seed out json =
     let out = Option.value ~default:(sanitize_target target ^ ".rlog") out in
     let result, log =
-      match Campaign.of_target target with
-      | Some (cseed, i) ->
+      match resolved with
+      | `Fuzz (cseed, i) ->
         (* A campaign program records under its campaign entry's
            detector configuration and machine seed by default;
            --sampling/--vkeys (e.g. record cheap, replay full) and
@@ -448,27 +445,14 @@ let record_cmd =
           ~threads:(r.Campaign.rp_prog.Kard_fuzz.Prog.workers + 1)
           ~scale:1.0 ~seed ~detector ~target (fuzz_build r)
           (Printf.sprintf "fuzz-%d-%d" cseed i)
-      | None -> (
-        match Record.find_subject target with
-        | Error msg -> fail msg
-        | Ok subject ->
-          let detector = with_sampling sampling (with_vkeys vkeys detector) in
-          let override_config =
-            match subject with
-            | Record.Scenario sc when vkeys <> None || sampling <> None ->
-              let c = sc.Race_suite.config in
-              let c =
-                match vkeys with Some n -> { c with Kard_core.Config.vkeys = n } | None -> c
-              in
-              let c =
-                match sampling with
-                | Some r -> { c with Kard_core.Config.sampling = r }
-                | None -> c
-              in
-              Some c
-            | Record.Scenario _ | Record.Spec _ -> None
-          in
-          Record.record ?threads ~scale ~seed ?override_config ~detector subject)
+      | `Subject subject ->
+        let detector = with_sampling sampling (with_vkeys vkeys detector) in
+        let override_config =
+          match subject with
+          | Record.Scenario sc -> scenario_override vkeys sampling sc
+          | Record.Spec _ -> None
+        in
+        Record.record ?threads ~scale ~seed ?override_config ~detector subject
     in
     Log.to_file out log;
     Printf.eprintf "recorded %s: %d picks, %d grants, %d bytes -> %s\n"
@@ -546,122 +530,18 @@ let replay_cmd =
           divergence)")
     Term.(const action $ file_arg $ detector_opt_arg $ vkeys_arg $ sampling_arg $ json_arg)
 
-(* bench: the tracked simulator-throughput benchmark (BENCH_pr4.json). *)
+(* The one writer of experiment JSON documents (serve-sweep -o,
+   repro --out). *)
+let write_json out json =
+  let oc = open_out out in
+  output_string oc (Kard_harness.Json_report.pretty json);
+  output_char oc '\n';
+  close_out oc;
+  Printf.printf "wrote %s\n" out
 
-let bench_cmd =
-  let only_conv =
-    let parse = function
-      | "throughput" -> Ok `Throughput
-      | "keys" -> Ok `Keys
-      | "sampling" -> Ok `Sampling
-      | "record" -> Ok `Record
-      | s ->
-        Error
-          (`Msg (Printf.sprintf "unknown benchmark %S (throughput, keys, sampling or record)" s))
-    in
-    let print fmt o =
-      Format.pp_print_string fmt
-        (match o with
-        | `Throughput -> "throughput"
-        | `Keys -> "keys"
-        | `Sampling -> "sampling"
-        | `Record -> "record")
-    in
-    Arg.conv (parse, print)
-  in
-  (* The tracked filenames render from Defaults so the help text can
-     never go stale against where `kard bench` actually writes. *)
-  let only_arg =
-    Arg.(value & opt only_conv `Throughput
-         & info [ "only" ] ~docv:"BENCH"
-             ~doc:
-               (Printf.sprintf
-                  "Which tracked benchmark to run: $(b,throughput) (simulator ops/sec, %s), \
-                   $(b,keys) (the key-pressure precision sweep, %s), $(b,sampling) (detection \
-                   probability/latency vs rate plus the sampled-kard serve sweep, %s) or \
-                   $(b,record) (record/replay overhead and log bytes per step, %s)."
-                  Defaults.throughput_out Defaults.keys_out Defaults.sampling_out
-                  Defaults.record_out))
-  in
-  let out_arg =
-    Arg.(value & opt (some string) None
-         & info [ "o"; "out"; "output" ] ~docv:"FILE"
-             ~doc:"JSON output path (default: the benchmark's tracked file).")
-  in
-  let threads_arg =
-    Arg.(value & opt (list threads_conv) [ 1; 2; 4; 8; 16; 32; 64 ]
-         & info [ "threads" ] ~docv:"N,N,..." ~doc:"Thread counts to sweep (throughput only).")
-  in
-  let scale_opt_arg =
-    Arg.(value & opt (some float) None
-         & info [ "scale" ] ~docv:"F"
-             ~doc:
-               "Workload scale factor (0,1] (default: the global default for throughput, 1.0 \
-                for keys — the precision claim is about object count).")
-  in
-  let action only scale seed threads_list vkeys jobs out =
-    match only with
-    | `Throughput ->
-      let scale = Option.value ~default:Defaults.scale scale in
-      let out = Option.value ~default:Defaults.throughput_out out in
-      let rows = Experiments.throughput ~threads_list ~scale ~seed () in
-      Experiments.print_throughput rows;
-      let json =
-        Kard_harness.Json_report.of_throughput ~build:"dev" ~workload:"memcached" ~scale ~seed
-          rows
-      in
-      let oc = open_out out in
-      output_string oc (Kard_harness.Json_report.pretty json);
-      output_char oc '\n';
-      close_out oc;
-      Printf.printf "wrote %s\n" out
-    | `Keys ->
-      let scale = Option.value ~default:1.0 scale in
-      let out = Option.value ~default:Defaults.keys_out out in
-      let b = Experiments.keys ?jobs ?pool:vkeys ~scale ~seed () in
-      Experiments.print_keys_bench b;
-      let json = Kard_harness.Json_report.of_keys_bench ~build:"dev" b in
-      let oc = open_out out in
-      output_string oc (Kard_harness.Json_report.pretty json);
-      output_char oc '\n';
-      close_out oc;
-      Printf.printf "wrote %s\n" out
-    | `Sampling ->
-      let out = Option.value ~default:Defaults.sampling_out out in
-      let b = Experiments.sampling ?jobs ?scale () in
-      Experiments.print_sampling b;
-      let json =
-        Kard_harness.Json_report.of_sampling_bench ~build:"dev"
-          ~threads:Defaults.table_threads ~scale:Defaults.serve_scale ~seed:Defaults.seed b
-      in
-      let oc = open_out out in
-      output_string oc (Kard_harness.Json_report.pretty json);
-      output_char oc '\n';
-      close_out oc;
-      Printf.printf "wrote %s\n" out
-    | `Record ->
-      let out = Option.value ~default:Defaults.record_out out in
-      let b = Experiments.record_bench ?scale ~seed () in
-      Experiments.print_record b;
-      let json = Kard_harness.Json_report.of_record_bench ~build:"dev" b in
-      let oc = open_out out in
-      output_string oc (Kard_harness.Json_report.pretty json);
-      output_char oc '\n';
-      close_out oc;
-      Printf.printf "wrote %s\n" out
-  in
-  Cmd.v
-    (Cmd.info "bench"
-       ~doc:
-         "Run a tracked benchmark: simulator throughput (default), the key-pressure precision \
-          sweep (--only keys), the sampling sweep (--only sampling) or record/replay overhead \
-          (--only record)")
-    Term.(const action $ only_arg $ scale_opt_arg $ seed_arg $ threads_arg $ vkeys_arg $ jobs_arg
-          $ out_arg)
-
-(* serve-sweep: the open-loop production-serving benchmark
-   (BENCH_pr6.json).  Sweeps offered load over detectors and reports
-   latency percentiles plus goodput under the p99 SLO. *)
+(* serve-sweep: the open-loop production-serving benchmark.  Sweeps
+   offered load over detectors and reports latency percentiles plus
+   goodput under the p99 SLO. *)
 
 let serve_sweep_cmd =
   let module Openloop = Kard_workloads.Openloop in
@@ -692,8 +572,13 @@ let serve_sweep_cmd =
                "Arrival process: poisson (memoryless) or bursty (Markov-modulated, 8x rate \
                 bursts).")
   in
+  let rate_conv =
+    checked Arg.float (fun r ->
+        if Float.is_finite r && r > 0.0 then Ok ()
+        else Error (Printf.sprintf "rate must be finite and > 0 (got %g)" r))
+  in
   let rates_arg =
-    Arg.(value & opt (list float) Experiments.default_serve_rates
+    Arg.(value & opt (list rate_conv) Experiments.default_serve_rates
          & info [ "rates" ] ~docv:"R,R,..."
              ~doc:"Offered loads to sweep, in requests per million simulated cycles.")
   in
@@ -706,8 +591,9 @@ let serve_sweep_cmd =
          & info [ "scale" ] ~docv:"F" ~doc:"Workload scale factor (0,1].")
   in
   let out_arg =
-    Arg.(value & opt string Defaults.serve_out
-         & info [ "o"; "out"; "output" ] ~docv:"FILE" ~doc:"JSON output path.")
+    Arg.(value & opt (some string) None
+         & info [ "o"; "out"; "output" ] ~docv:"FILE"
+             ~doc:"Also write the sweep as a JSON document to $(docv).")
   in
   let threads_opt_arg =
     Arg.(value & opt threads_conv Defaults.table_threads
@@ -726,12 +612,9 @@ let serve_sweep_cmd =
       Experiments.serve ?jobs ~server ~model ~detectors ~rates ~threads ~scale ~seed ~slo ()
     in
     Experiments.print_serve sweep;
-    let json = Kard_harness.Json_report.of_serve_sweep ~threads ~scale ~seed sweep in
-    let oc = open_out out in
-    output_string oc (Kard_harness.Json_report.pretty json);
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf "wrote %s\n" out
+    Option.iter
+      (fun out -> write_json out (Kard_harness.Json_report.of_serve_sweep ~threads ~scale ~seed sweep))
+      out
   in
   Cmd.v
     (Cmd.info "serve-sweep"
@@ -782,50 +665,98 @@ let fuzz_cmd =
           the documented taxonomy")
     Term.(const action $ count_arg $ seed_arg $ corpus_arg $ jobs_arg $ sampling_arg $ replay_arg)
 
-(* repro *)
+(* repro: the one experiment driver.  Every table and figure of the
+   paper's evaluation, plus the key-pressure and sampling sweeps, whose
+   JSON documents --out writes. *)
 
-let repro_one ?jobs ~scale = function
+let repro_names =
+  [ "table1"; "figure1"; "table4"; "figure4"; "scenarios"; "table3"; "table5"; "table6";
+    "figure2"; "figure5"; "nginx-sweep"; "memory"; "ablation"; "micro"; "nolock"; "explore";
+    "keys"; "sampling"; "all" ]
+
+let repro_all =
+  [ "micro"; "figure2"; "scenarios"; "table3"; "table5"; "table6"; "figure5"; "nginx-sweep";
+    "memory"; "ablation" ]
+
+let repro_json = [ "keys"; "sampling" ]
+
+(* [scale] is [None] unless --scale was given: the tables default to
+   [Defaults.scale], keys to 1.0 (its claim is about object count) and
+   sampling to its own key-pressure scale. *)
+let repro_one ?jobs ?scale ?out name =
+  let table_scale = Option.value scale ~default:Defaults.scale in
+  match name with
   | "table1" | "figure1" | "table4" | "figure4" | "scenarios" ->
     Experiments.print_scenarios (Experiments.scenarios ?jobs ())
-  | "table3" -> Experiments.print_table3 (Experiments.table3 ?jobs ~scale ())
+  | "table3" -> Experiments.print_table3 (Experiments.table3 ?jobs ~scale:table_scale ())
   | "table5" ->
     print_endline "full key budget (13 data keys):";
-    Experiments.print_table5 (Experiments.table5 ?jobs ~scale ());
+    Experiments.print_table5 (Experiments.table5 ?jobs ~scale:table_scale ());
     print_endline "\npressure-scaled key budget (4 data keys; see EXPERIMENTS.md):";
-    Experiments.print_table5 (Experiments.table5 ?jobs ~data_keys:4 ~scale ())
-  | "table6" -> Experiments.print_table6 (Experiments.table6 ?jobs ~scale ())
+    Experiments.print_table5 (Experiments.table5 ?jobs ~data_keys:4 ~scale:table_scale ())
+  | "table6" -> Experiments.print_table6 (Experiments.table6 ?jobs ~scale:table_scale ())
   | "figure2" -> Experiments.print_figure2 (Experiments.figure2 ())
-  | "figure5" -> Experiments.print_figure5 (Experiments.figure5 ?jobs ~scale ())
-  | "nginx-sweep" -> Experiments.print_nginx_sweep (Experiments.nginx_sweep ?jobs ~scale ())
-  | "memory" -> Experiments.print_memory (Experiments.memory ?jobs ~scale ())
-  | "ablation" -> Experiments.print_ablation (Experiments.ablation ?jobs ~scale ())
+  | "figure5" -> Experiments.print_figure5 (Experiments.figure5 ?jobs ~scale:table_scale ())
+  | "nginx-sweep" ->
+    Experiments.print_nginx_sweep (Experiments.nginx_sweep ?jobs ~scale:table_scale ())
+  | "memory" -> Experiments.print_memory (Experiments.memory ?jobs ~scale:table_scale ())
+  | "ablation" -> Experiments.print_ablation (Experiments.ablation ?jobs ~scale:table_scale ())
   | "micro" -> Experiments.print_micro ()
-  | exp -> Printf.eprintf "unknown experiment %S\n" exp
+  | "nolock" -> Experiments.print_nolock (Experiments.nolock ?jobs ~scale:table_scale ())
+  | "explore" -> Experiments.print_explore (Experiments.explore ?jobs ())
+  | "keys" ->
+    let b = Experiments.keys ?jobs ?scale () in
+    Experiments.print_keys_bench b;
+    Option.iter (fun out -> write_json out (Kard_harness.Json_report.of_keys_bench b)) out
+  | "sampling" ->
+    let b = Experiments.sampling ?jobs ?scale () in
+    Experiments.print_sampling b;
+    Option.iter
+      (fun out ->
+        write_json out
+          (Kard_harness.Json_report.of_sampling_bench ~threads:Defaults.table_threads
+             ~scale:Defaults.serve_scale ~seed:Defaults.seed b))
+      out
+  | exp -> invalid_arg ("repro: no experiment " ^ exp)
 
 let repro_cmd =
   let exp_arg =
-    Arg.(required & pos 0 (some string) None
+    Arg.(required & pos 0 (some (enum (List.map (fun n -> (n, n)) repro_names))) None
          & info [] ~docv:"EXPERIMENT"
+             ~doc:("One of: " ^ String.concat ", " repro_names ^ "."))
+  in
+  let scale_arg =
+    Arg.(value & opt (some scale_conv) None
+         & info [ "scale" ] ~docv:"F"
              ~doc:
-               "One of: table1, table3, table4, table5, table6, figure2, figure5, nginx-sweep, \
-                memory, ablation, micro, all.")
+               (Printf.sprintf
+                  "Workload scale factor (0,1] (default: %g for the paper tables, 1.0 for keys, \
+                   the sweep's own for sampling)." Defaults.scale))
   in
-  let action exp scale jobs =
-    let experiments =
-      if exp = "all" then
-        [ "micro"; "figure2"; "scenarios"; "table3"; "table5"; "table6"; "figure5"; "nginx-sweep";
-          "memory"; "ablation" ]
-      else [ exp ]
-    in
-    List.iter
-      (fun e ->
-        Printf.printf "== %s ==\n" e;
-        repro_one ?jobs ~scale e;
-        print_newline ())
-      experiments
+  let out_arg =
+    Arg.(value & opt (some string) None
+         & info [ "o"; "out" ] ~docv:"FILE"
+             ~doc:
+               ("Write the experiment's JSON document to $(docv).  Only "
+               ^ String.concat " and " repro_json ^ " have one."))
   in
-  Cmd.v (Cmd.info "repro" ~doc:"Regenerate a table or figure from the paper")
-    Term.(const action $ exp_arg $ scale_arg $ jobs_arg)
+  let action exp scale jobs out =
+    match out with
+    | Some _ when not (List.mem exp repro_json) ->
+      `Error
+        (false, Printf.sprintf "--out: %s has no JSON document (only %s do)" exp
+                  (String.concat " and " repro_json))
+    | _ ->
+      List.iter
+        (fun e ->
+          Printf.printf "== %s ==\n" e;
+          repro_one ?jobs ?scale ?out e;
+          print_newline ())
+        (if exp = "all" then repro_all else [ exp ]);
+      `Ok ()
+  in
+  Cmd.v (Cmd.info "repro" ~doc:"Run one experiment of the paper's evaluation")
+    Term.(ret (const action $ exp_arg $ scale_arg $ jobs_arg $ out_arg))
 
 let () =
   let info = Cmd.info "kard" ~doc:"Kard: MPK-based data race detection (ASPLOS'21), simulated" in
@@ -833,4 +764,4 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [ list_cmd; run_cmd; scenario_cmd; trace_cmd; hunt_cmd; record_cmd; replay_cmd;
-            bench_cmd; serve_sweep_cmd; repro_cmd; fuzz_cmd ]))
+            serve_sweep_cmd; repro_cmd; fuzz_cmd ]))

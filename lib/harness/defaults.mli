@@ -23,9 +23,6 @@ val explorer_scale : float
 val explorer_seeds : int list
 (** The canonical schedule-exploration sweep: seeds [1..20]. *)
 
-val throughput_scale : float
-(** Default scale of the tracked throughput benchmark: [0.05]. *)
-
 val serve_scale : float
 (** Default scale of the serve sweep: [0.05] (1000 requests per
     sweep point at the full-size request count of 20000). *)
@@ -33,32 +30,6 @@ val serve_scale : float
 val serve_slo : int
 (** Default latency SLO for goodput: p99 <= [200_000] simulated
     cycles, roughly 3x the unloaded median nginx service latency. *)
-
-val throughput_out : string
-(** Tracked output of [kard bench -e throughput]: ["BENCH_pr4.json"]. *)
-
-val parallel_out : string
-(** Tracked output of [kard bench -e parallel]: ["BENCH_pr3.json"]. *)
-
-val serve_out : string
-(** Tracked output of [kard bench -e serve] and [kard serve-sweep]:
-    ["BENCH_pr6.json"]. *)
-
-val keys_out : string
-(** Tracked output of [kard bench -e keys] (the key-pressure sweep):
-    ["BENCH_pr8.json"]. *)
-
-val sampling_out : string
-(** Tracked output of [kard bench -e sampling] (the sampling sweep:
-    detection probability / latency vs rate, plus sampled-kard serve
-    goodput): ["BENCH_pr9.json"]. *)
-
-val record_out : string
-(** Tracked output of [kard bench --only record] (recording overhead
-    and log bytes/step of the record/replay layer):
-    ["BENCH_pr10.json"].  CLI help strings must render this value —
-    not a hardcoded filename — so the tracked name can move without
-    leaving stale references. *)
 
 val jobs_env : string
 (** Name of the environment variable overriding the worker count:
@@ -80,9 +51,10 @@ val vkeys_env : string
 
 val vkeys : unit -> int
 (** Virtual-key pool for default-config Kard runs: [$KARD_VKEYS] when
-    set to a non-negative integer, otherwise [0] (identity mode —
-    byte-identical to the pre-vkey detector).  A malformed override is
-    ignored. *)
+    it is an integer that {!Kard_core.Config.validate} accepts as
+    [vkeys] (the range the [--vkeys] flag takes), otherwise [0]
+    (identity mode — byte-identical to the pre-vkey detector).  A
+    malformed or out-of-range override is ignored, never clamped. *)
 
 val sampling_env : string
 (** Name of the environment variable overriding the sampling rate:
@@ -90,12 +62,13 @@ val sampling_env : string
 
 val sampling : unit -> float
 (** Sampling rate for default-config Kard runs: [$KARD_SAMPLING] when
-    set to a float in (0, 1], otherwise [1.0] (full Kard —
-    byte-identical to the unsampled detector).  A malformed or
-    out-of-range override is ignored, never clamped. *)
+    it is a float that {!Kard_core.Config.validate} accepts as
+    [sampling] (the range the [--sampling] flag takes), otherwise
+    [1.0] (full Kard — byte-identical to the unsampled detector).  A
+    malformed or out-of-range override is ignored, never clamped. *)
 
 val kard_config : unit -> Kard_core.Config.t
 (** [Config.default] with {!vkeys} and {!sampling} applied — what
-    every "default kard" surface (CLI, bench driver, test harness)
+    every "default kard" surface (CLI, experiments, test harness)
     should construct, so the whole suite can be swept under virtual
     keys or a sampling rate from the environment. *)

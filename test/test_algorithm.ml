@@ -226,7 +226,7 @@ let prop_exclusive_write =
             (A.objects_seen t))
         (well_formed raw))
 
-let prop_no_keys_outside_sections =
+let prop_no_key_outside_sections =
   QCheck.Test.make ~name:"K(t) empty outside sections" ~count:300 trace_arbitrary (fun raw ->
       let t = A.create () in
       List.for_all
@@ -311,7 +311,7 @@ let () =
           Alcotest.test_case "unbalanced exit" `Quick test_unbalanced_exit ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest prop_exclusive_write;
-          QCheck_alcotest.to_alcotest prop_no_keys_outside_sections;
+          QCheck_alcotest.to_alcotest prop_no_key_outside_sections;
           QCheck_alcotest.to_alcotest prop_kf_consistent;
           QCheck_alcotest.to_alcotest prop_single_thread_race_free;
           QCheck_alcotest.to_alcotest prop_consistent_lock_race_free ] ) ]

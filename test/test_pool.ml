@@ -201,17 +201,6 @@ let test_trace_oracle () =
     (export (Pool.run_jobs ~jobs:1 jobs))
     (export (Pool.run_jobs ~jobs:2 jobs))
 
-let test_map_gc_aggregates () =
-  let xs = List.init 32 Fun.id in
-  (* Small boxed values so the allocation lands in the minor heap of
-     whichever domain runs the item. *)
-  let f x = List.fold_left (fun acc (a, b) -> acc + a + b) 0 (List.init 64 (fun i -> (x, i))) in
-  let plain = Pool.map ~jobs:2 f xs in
-  let via_gc, gc = Pool.map_gc ~jobs:2 f xs in
-  check "map_gc returns the same results" true (plain = via_gc);
-  check "worker-domain allocation is counted" true (gc.Pool.minor_words > 0.);
-  check "promoted words are non-negative" true (gc.Pool.promoted_words >= 0.)
-
 (* {1 Job construction & defaults} *)
 
 let test_job_defaults () =
@@ -248,6 +237,10 @@ let test_defaults_env_overrides () =
   with_env Defaults.vkeys_env "0" (fun () -> check_int "zero vkeys is identity" 0 (Defaults.vkeys ()));
   with_env Defaults.vkeys_env "-4" (fun () -> check_int "negative vkeys ignored" 0 (Defaults.vkeys ()));
   with_env Defaults.vkeys_env "lots" (fun () -> check_int "junk vkeys ignored" 0 (Defaults.vkeys ()));
+  (* The environment admits exactly what Config.validate (and so
+     --vkeys) admits: a pool past Config.max_vkeys is ignored. *)
+  with_env Defaults.vkeys_env "5000000" (fun () ->
+      check_int "vkeys past the pool limit ignored" 0 (Defaults.vkeys ()));
   let check_rate msg want got = Alcotest.(check (float 0.)) msg want got in
   with_env Defaults.sampling_env "0.25" (fun () ->
       check_rate "KARD_SAMPLING=0.25" 0.25 (Defaults.sampling ()));
@@ -255,6 +248,7 @@ let test_defaults_env_overrides () =
   with_env Defaults.sampling_env "1.5" (fun () ->
       check_rate "rate above 1 ignored, not clamped" 1.0 (Defaults.sampling ()));
   with_env Defaults.sampling_env "half" (fun () -> check_rate "junk rate ignored" 1.0 (Defaults.sampling ()));
+  with_env Defaults.sampling_env "nan" (fun () -> check_rate "NaN rate ignored" 1.0 (Defaults.sampling ()));
   with_env Defaults.vkeys_env "64" (fun () ->
       with_env Defaults.sampling_env "0.5" (fun () ->
           let c = Defaults.kard_config () in
@@ -291,8 +285,7 @@ let () =
           Alcotest.test_case "chunks" `Quick test_chunks;
           Alcotest.test_case "jobs=1 runs inline" `Quick test_jobs1_runs_inline;
           Alcotest.test_case "jobs=1 error semantics" `Quick test_jobs1_error_semantics;
-          Alcotest.test_case "crash reports smallest index" `Quick test_crash_smallest_index;
-          Alcotest.test_case "map_gc aggregation" `Quick test_map_gc_aggregates ] );
+          Alcotest.test_case "crash reports smallest index" `Quick test_crash_smallest_index ] );
       ( "isolation",
         [ Alcotest.test_case "concurrent identical jobs" `Slow test_concurrent_identical_jobs ] );
       ( "oracle",
