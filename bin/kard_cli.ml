@@ -583,11 +583,11 @@ let serve_sweep_cmd =
              ~doc:"Offered loads to sweep, in requests per million simulated cycles.")
   in
   let slo_arg =
-    Arg.(value & opt int Defaults.serve_slo
+    Arg.(value & opt (positive_int "slo") Defaults.serve_slo
          & info [ "slo" ] ~docv:"CYCLES" ~doc:"Latency SLO: p99 budget in simulated cycles.")
   in
   let serve_scale_arg =
-    Arg.(value & opt float Defaults.serve_scale
+    Arg.(value & opt scale_conv Defaults.serve_scale
          & info [ "scale" ] ~docv:"F" ~doc:"Workload scale factor (0,1].")
   in
   let out_arg =

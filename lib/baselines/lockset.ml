@@ -28,7 +28,7 @@ type t = {
 }
 
 let create env =
-  { env; cells = Hashtbl.create 4096; held = Hashtbl.create 16; warnings = [] }
+  { env; cells = Hashtbl.create 16; held = Hashtbl.create 16; warnings = [] }
 
 let held_of t tid = Option.value ~default:Int_set.empty (Hashtbl.find_opt t.held tid)
 

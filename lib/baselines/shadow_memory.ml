@@ -7,7 +7,7 @@ type cell = {
 
 type t = (int, cell) Hashtbl.t
 
-let create () = Hashtbl.create 4096
+let create () = Hashtbl.create 16
 
 let cell_of t addr =
   let granule = addr lsr 3 in

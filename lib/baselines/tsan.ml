@@ -32,7 +32,7 @@ let create ?(max_threads = 64) env =
     lock_clocks = Hashtbl.create 16;
     shadow = Shadow_memory.create ();
     locks_held = Hashtbl.create 16;
-    epoch_locked = Hashtbl.create 4096;
+    epoch_locked = Hashtbl.create 16;
     races = [];
     seen = Hashtbl.create 64 }
 

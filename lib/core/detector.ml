@@ -9,7 +9,7 @@ module Vkey = Kard_mpk.Vkey
 module Obj_meta = Kard_alloc.Obj_meta
 module Meta_table = Kard_alloc.Meta_table
 module Hooks = Kard_sched.Hooks
-module Dense = Kard_sched.Dense
+module Dense = Kard_mpk.Dense
 
 (* Frames are pooled per thread: section nesting is shallow and
    entry/exit runs on every lock operation, so the stack is an array

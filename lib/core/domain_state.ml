@@ -1,4 +1,4 @@
-module Dense = Kard_sched.Dense
+module Dense = Kard_mpk.Dense
 
 type domain =
   | Not_accessed

@@ -1,5 +1,5 @@
 module Perm = Kard_mpk.Perm
-module Dense = Kard_sched.Dense
+module Dense = Kard_mpk.Dense
 
 type holder = {
   tid : int;

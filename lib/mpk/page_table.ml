@@ -18,14 +18,10 @@ type t = {
   mutable generation : int;
 }
 
-let create () = { pkeys = Array.make 4096 no_entry; entries = 0; generation = 0 }
+let create () = { pkeys = Array.make 64 no_entry; entries = 0; generation = 0 }
 
 let grow t vpage =
-  let n = ref (Array.length t.pkeys) in
-  while vpage >= !n do
-    n := 2 * !n
-  done;
-  let bigger = Array.make !n no_entry in
+  let bigger = Array.make (Dense.grow_pow2 (Array.length t.pkeys) vpage) no_entry in
   Array.blit t.pkeys 0 bigger 0 (Array.length t.pkeys);
   t.pkeys <- bigger
 

@@ -3,6 +3,8 @@
    are int rings — every operation here sits on the machine's
    lock/unlock path and none of it may hash or allocate per call. *)
 
+module Dense = Kard_mpk.Dense
+
 type lock_state = {
   mutable owner : int; (* -1 = free *)
   waiters : Dense.Int_ring.t;

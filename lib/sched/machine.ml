@@ -2,6 +2,7 @@ module Page = Kard_mpk.Page
 module Cost_model = Kard_mpk.Cost_model
 module Mpk_hw = Kard_mpk.Mpk_hw
 module Fault = Kard_mpk.Fault
+module Dense = Kard_mpk.Dense
 module Address_space = Kard_vm.Address_space
 module Phys_mem = Kard_vm.Phys_mem
 module Meta_table = Kard_alloc.Meta_table

@@ -21,8 +21,8 @@ let first_vpage = 0x10
 
 let create phys =
   { phys;
-    map = Hashtbl.create 4096;
-    pt_groups = Hashtbl.create 64;
+    map = Hashtbl.create 16;
+    pt_groups = Hashtbl.create 4;
     peak_pt_groups = 0;
     peak_mapped = 0;
     next_vpage = first_vpage }

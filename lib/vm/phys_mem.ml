@@ -16,7 +16,7 @@ type t = {
 }
 
 let create () =
-  { frames = Hashtbl.create 1024; next_frame = 0; resident = 0; peak = 0; total_allocated = 0 }
+  { frames = Hashtbl.create 16; next_frame = 0; resident = 0; peak = 0; total_allocated = 0 }
 
 let alloc_frame t =
   let frame = t.next_frame in

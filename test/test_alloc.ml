@@ -103,6 +103,51 @@ let test_meta_lookup () =
   check "gone after free" true (Meta_table.find_addr meta m.Obj_meta.base = None);
   check_int "live count zero" 0 (Meta_table.live_count meta)
 
+(* The table is indexed by dense object ids and vpages; these pin the
+   lookup meanings its callers rely on at the edges of that range. *)
+
+let test_meta_out_of_range () =
+  let _, _, meta, _, iface = make_upa () in
+  let (_ : Obj_meta.t * int) = iface.Alloc_iface.alloc ~site:1 100 in
+  List.iter
+    (fun i ->
+      check (Printf.sprintf "find_id %d" i) true (Meta_table.find_id meta i = None);
+      check (Printf.sprintf "find_vpage %d" i) true (Meta_table.find_vpage meta i = None))
+    [ -1; 1_000_000_000 ];
+  check "find_addr negative" true (Meta_table.find_addr meta (-8) = None)
+
+let test_meta_iter_ascending () =
+  let _, _, meta, _, iface = make_upa () in
+  let objs = List.init 5 (fun _ -> fst (iface.Alloc_iface.alloc ~site:1 64)) in
+  let (_ : int) = iface.Alloc_iface.free (List.nth objs 2) in
+  let seen = ref [] in
+  Meta_table.iter meta (fun m -> seen := m.Obj_meta.id :: !seen);
+  Alcotest.(check (list int)) "ascending, freed id skipped" [ 0; 1; 3; 4 ] (List.rev !seen);
+  check_int "live count" 4 (Meta_table.live_count meta)
+
+let test_meta_far_vpage () =
+  let meta = Meta_table.create () in
+  let vpage = 100_003 in
+  let m =
+    { Obj_meta.id = 70; base = Page.base_of_vpage vpage; size = Page.size + 8;
+      reserved = 2 * Page.size; kind = Obj_meta.Heap 1; pages = 2 }
+  in
+  Meta_table.register meta m;
+  Meta_table.register meta m;
+  let hit = function Some found -> Obj_meta.equal found m | None -> false in
+  check "first page" true (hit (Meta_table.find_vpage meta vpage));
+  check "second page" true (hit (Meta_table.find_vpage meta (vpage + 1)));
+  check "page after" true (Meta_table.find_vpage meta (vpage + 2) = None);
+  check "page before" true (Meta_table.find_vpage meta (vpage - 1) = None);
+  check "by id" true (hit (Meta_table.find_id meta 70));
+  check "lower id unregistered" true (Meta_table.find_id meta 69 = None);
+  check "by address" true (hit (Meta_table.find_addr meta (m.Obj_meta.base + Page.size)));
+  check_int "re-registering counts once" 1 (Meta_table.live_count meta);
+  Meta_table.unregister meta m;
+  Meta_table.unregister meta m;
+  check "page cleared" true (Meta_table.find_vpage meta vpage = None);
+  check_int "none live" 0 (Meta_table.live_count meta)
+
 let test_meta_site_and_kind () =
   let _, _, _, _, iface = make_upa () in
   let m, _ = iface.Alloc_iface.alloc ~site:42 16 in
@@ -163,6 +208,23 @@ let test_native_packs_objects () =
   check "same page" true
     (Page.vpage_of_addr m1.Obj_meta.base = Page.vpage_of_addr m2.Obj_meta.base)
 
+(* The native allocator packs objects, so a page resolves to the one
+   registered last, and freeing an earlier neighbour must not unindex
+   the page from under it. *)
+let test_native_shared_page_lookup () =
+  let _, meta, iface = make_native () in
+  let m1, _ = iface.Alloc_iface.alloc ~site:1 16 in
+  let m2, _ = iface.Alloc_iface.alloc ~site:1 16 in
+  let vpage = Page.vpage_of_addr m1.Obj_meta.base in
+  check "same page" true (vpage = Page.vpage_of_addr m2.Obj_meta.base);
+  let is_m2 = function Some found -> Obj_meta.equal found m2 | None -> false in
+  check "later object wins" true (is_m2 (Meta_table.find_vpage meta vpage));
+  let (_ : int) = iface.Alloc_iface.free m1 in
+  check "later object still on its page" true (is_m2 (Meta_table.find_vpage meta vpage));
+  check "later object by address" true (is_m2 (Meta_table.find_addr meta m2.Obj_meta.base));
+  check "earlier object gone by id" true (Meta_table.find_id meta m1.Obj_meta.id = None);
+  check_int "one live" 1 (Meta_table.live_count meta)
+
 let test_native_freelist_reuse () =
   let _, _, iface = make_native () in
   let m, _ = iface.Alloc_iface.alloc ~site:1 64 in
@@ -210,6 +272,9 @@ let () =
           Alcotest.test_case "large allocations" `Quick test_large_allocation_page_aligned ] );
       ( "metadata",
         [ Alcotest.test_case "lookup" `Quick test_meta_lookup;
+          Alcotest.test_case "out of range" `Quick test_meta_out_of_range;
+          Alcotest.test_case "iter ascending" `Quick test_meta_iter_ascending;
+          Alcotest.test_case "far vpage" `Quick test_meta_far_vpage;
           Alcotest.test_case "site and kind" `Quick test_meta_site_and_kind ] );
       ( "globals",
         [ Alcotest.test_case "unique pages" `Quick test_global_unique_pages;
@@ -219,6 +284,7 @@ let () =
           Alcotest.test_case "reuses mappings" `Quick test_recycling_reuses_mapping ] );
       ( "native",
         [ Alcotest.test_case "packs objects" `Quick test_native_packs_objects;
+          Alcotest.test_case "shared page lookup" `Quick test_native_shared_page_lookup;
           Alcotest.test_case "freelist reuse" `Quick test_native_freelist_reuse;
           Alcotest.test_case "alignment" `Quick test_native_alignment;
           Alcotest.test_case "large mmap path" `Quick test_native_large_mmap_path ] ) ]

@@ -70,6 +70,14 @@ let test_rates () =
   usage_error "negative rate" [ "serve-sweep"; "--rates=-2" ] ~mentions:"rate";
   usage_error "NaN rate" [ "serve-sweep"; "--rates=nan" ] ~mentions:"rate"
 
+let test_serve_scale_slo () =
+  let sweep flag = [ "serve-sweep"; "--rates"; "8"; flag ] in
+  usage_error "zero serve scale" (sweep "--scale=0") ~mentions:"scale";
+  usage_error "negative serve scale" (sweep "--scale=-1") ~mentions:"scale";
+  usage_error "NaN serve scale" (sweep "--scale=nan") ~mentions:"scale";
+  usage_error "zero slo" (sweep "--slo=0") ~mentions:"slo";
+  usage_error "negative slo" (sweep "--slo=-5") ~mentions:"slo"
+
 let fresh_path () =
   let path = Filename.temp_file "kard_cli" ".json" in
   Sys.remove path;
@@ -109,6 +117,7 @@ let () =
           Alcotest.test_case "--scale" `Quick test_scale;
           Alcotest.test_case "--capacity and --tries" `Quick test_counts;
           Alcotest.test_case "serve-sweep --rates" `Quick test_rates;
+          Alcotest.test_case "serve-sweep --scale and --slo" `Quick test_serve_scale_slo;
           Alcotest.test_case "in-range values still run" `Quick test_in_range_runs ] );
       ("names", [ Alcotest.test_case "unknown names" `Quick test_unknown_names ]);
       ( "repro",

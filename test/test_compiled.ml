@@ -13,7 +13,7 @@
 
 module Machine = Kard_sched.Machine
 module Program = Kard_sched.Program
-module Dense = Kard_sched.Dense
+module Dense = Kard_mpk.Dense
 module Op = Kard_sched.Op
 module Runner = Kard_harness.Runner
 module Json_report = Kard_harness.Json_report
@@ -168,6 +168,40 @@ let test_allocation_budget () =
   check "steps sane" true (steps > 1_000);
   if per_step > 30.0 then
     Alcotest.failf "allocation contract broken: %.2f minor words/step (budget 30)" per_step
+
+(* The set-up half of the contract: a machine's tables start small
+   and grow with its program, so building one — here with a Kard
+   detector and no threads — puts nothing straight into the major
+   heap (arrays past [Max_young_wosize] words would) and stays well
+   under a page of minor words.  The config is pinned so that a
+   $KARD_VKEYS pool, sized by the user, is not billed. *)
+let test_setup_budget () =
+  let make () =
+    Machine.create
+      ~allocator:(Machine.Unique_page { granule = 32; recycle_virtual_pages = false })
+      ~make_detector:
+        (Kard_core.Detector.make ~config:Kard_core.Config.default ~cell:(ref None))
+      ()
+  in
+  (* Warm once so module initialization doesn't bill the budget. *)
+  ignore (make () : Machine.t);
+  (* Not [Gc.quick_stat]: on OCaml 5 its word counts only catch up at
+     the next minor collection, so a short window reads zero.
+     [Gc.minor_words] and the major/promoted words of [Gc.counters]
+     are exact. *)
+  let minor0 = Gc.minor_words () in
+  let _, promoted0, major0 = Gc.counters () in
+  let machine = make () in
+  let _, promoted1, major1 = Gc.counters () in
+  let minor1 = Gc.minor_words () in
+  ignore (Sys.opaque_identity machine : Machine.t);
+  let direct_major = major1 -. major0 -. (promoted1 -. promoted0) in
+  let minor = minor1 -. minor0 in
+  if direct_major <> 0.0 then
+    Alcotest.failf "set-up contract broken: %.0f words allocated straight into the major heap"
+      direct_major;
+  if minor >= 4096.0 then
+    Alcotest.failf "set-up contract broken: %.0f minor words (budget 4096)" minor
 
 (* {1 Dense} *)
 
@@ -336,7 +370,8 @@ let () =
           Alcotest.test_case "convoy compiled = thunks" `Quick test_convoy_oracle;
           Alcotest.test_case "dynamic program" `Quick test_dynamic_program_oracle ] );
       ( "allocation",
-        [ Alcotest.test_case "per-step budget" `Slow test_allocation_budget ] );
+        [ Alcotest.test_case "per-step budget" `Slow test_allocation_budget;
+          Alcotest.test_case "set-up budget" `Quick test_setup_budget ] );
       ( "dense",
         [ Alcotest.test_case "grow_pow2" `Quick test_grow_pow2;
           Alcotest.test_case "bitset" `Quick test_bitset;

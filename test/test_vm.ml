@@ -33,6 +33,29 @@ let test_phys_double_free () =
        false
      with Invalid_argument _ -> true)
 
+(* Tables start small; a run past their first sizing must keep every
+   frame and mapping, and frees still check residency. *)
+let test_growth () =
+  let phys = Phys_mem.create () in
+  let frames = List.init 100 (fun _ -> Phys_mem.alloc_frame phys) in
+  check_int "100 resident" 100 (Phys_mem.resident_frames phys);
+  List.iter (Phys_mem.free_frame phys) frames;
+  check_int "none resident" 0 (Phys_mem.resident_frames phys);
+  check "double free after growth rejected" true
+    (try
+       Phys_mem.free_frame phys (List.nth frames 50);
+       false
+     with Invalid_argument _ -> true);
+  let aspace = Address_space.create phys in
+  let base = Address_space.mmap_anon aspace ~pages:1100 in
+  check_int "1100 mapped" 1100 (Address_space.mapped_pages aspace);
+  check_int "three page-table groups" 3 (Address_space.page_table_pages aspace);
+  Address_space.write_u8 aspace (base + (1099 * Page.size)) 7;
+  check_int "last page backed" 7 (Address_space.read_u8 aspace (base + (1099 * Page.size)));
+  Address_space.munmap aspace ~base ~pages:1100;
+  check_int "unmapped" 0 (Address_space.mapped_pages aspace);
+  check_int "frames released" 0 (Phys_mem.resident_frames phys)
+
 let test_phys_lazy_bytes () =
   let phys = Phys_mem.create () in
   let f = Phys_mem.alloc_frame phys in
@@ -138,7 +161,8 @@ let () =
     [ ( "phys_mem",
         [ Alcotest.test_case "alloc/free" `Quick test_phys_alloc_free;
           Alcotest.test_case "double free" `Quick test_phys_double_free;
-          Alcotest.test_case "lazy bytes" `Quick test_phys_lazy_bytes ] );
+          Alcotest.test_case "lazy bytes" `Quick test_phys_lazy_bytes;
+          Alcotest.test_case "growth past first sizing" `Quick test_growth ] );
       ( "memfd",
         [ Alcotest.test_case "ftruncate" `Quick test_memfd_ftruncate;
           Alcotest.test_case "bounds" `Quick test_memfd_bounds ] );
